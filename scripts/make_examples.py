@@ -13,8 +13,7 @@ from qta.dqta import unit_automata
 from qta.intcat import as_int0, name_of
 
 
-def main():
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "data")
+def main(out_dir=os.path.join(os.path.dirname(__file__), "..", "data")):
     os.makedirs(out_dir, exist_ok=True)
 
     def path(name):

@@ -67,6 +67,7 @@ from .dqta import (
     make_unitary_dqta,
     turing_tensor,
     unit_automata,
+    witnessed_distance,
 )
 from .intcat import (
     Int0Morphism,
@@ -515,12 +516,6 @@ def _pair_distance(f, g):
     return op_distance(f.carrier.tau, g.carrier.tau)
 
 
-def _witnessed_distance(t1, t2, sigma):
-    moved = (kron(sigma, identity(t1.l)).mat @ t1.tau.mat
-             @ kron(adjoint(sigma), identity(t1.k)).mat)
-    return op_distance(Operator(moved), t2.tau)
-
-
 def _ev_int0_units(cfg):
     def ev(rng, idx):
         k = 0 if idx == 0 else int(rng.integers(1, 3))
@@ -610,8 +605,8 @@ def _ev_int0_dagger_contra(cfg):
         g = _rand_int0(rng, l, m, hg)
         lhs = int_dagger(int_compose(f, g))
         rhs = int_compose(int_dagger(g), int_dagger(f))
-        return _witnessed_distance(lhs.carrier, rhs.carrier,
-                                   tensor_swap(hf, hg))
+        return witnessed_distance(lhs.carrier, rhs.carrier,
+                                  tensor_swap(hf, hg))
     return ev
 
 
@@ -628,7 +623,7 @@ def _ev_int0_bifunctorial(cfg):
         rhs = int_tensor(int_compose(f, g), int_compose(f2, g2))
         sigma = kron(kron(identity(hs[0]), tensor_swap(hs[1], hs[2])),
                      identity(hs[3]))
-        return _witnessed_distance(lhs.carrier, rhs.carrier, sigma)
+        return witnessed_distance(lhs.carrier, rhs.carrier, sigma)
     return ev
 
 
@@ -658,7 +653,7 @@ def _ev_functor_composition(cfg):
         lhs = functor_image(cascade(t1, t2))
         rhs = int_compose(functor_image(t1), functor_image(t2))
         sigma = kron(kron(identity(h1), tensor_swap(h2, h1)), identity(h2))
-        return _witnessed_distance(lhs.carrier, rhs.carrier, sigma)
+        return witnessed_distance(lhs.carrier, rhs.carrier, sigma)
     return ev
 
 
@@ -669,7 +664,7 @@ def _ev_functor_dagger(cfg):
         t = make_unitary_dqta(h, k, random_isometry(h * k, h * k, rng))
         lhs = functor_image(dagger_dqta(t))
         rhs = int_dagger(functor_image(t))
-        return _witnessed_distance(lhs.carrier, rhs.carrier, tensor_swap(h, h))
+        return witnessed_distance(lhs.carrier, rhs.carrier, tensor_swap(h, h))
     return ev
 
 

@@ -55,11 +55,8 @@ from .dqta import (
 from .intcat import Qta, as_int0, bidirectionalize, make_qta, name_of
 from .linalg import (
     Operator,
-    block_perm,
-    identity,
     isometry_defect,
-    kron,
-    sum_swap,
+    summand_index,
     unitary_defect,
 )
 
@@ -276,7 +273,8 @@ def build_cell(states, alphabet_bits, rule=None) -> UnitaryDqta:
     h = 2 ** alphabet_bits
     width = 2 * states
     if rule is None:
-        tau = kron(identity(h), sum_swap(states, states))
+        swap = summand_index(h, [states, states], [1, 0])
+        tau = Operator(np.eye(h * width)[swap])
     elif isinstance(rule, Operator):
         tau = rule
     elif isinstance(rule, np.ndarray):
@@ -284,10 +282,6 @@ def build_cell(states, alphabet_bits, rule=None) -> UnitaryDqta:
     else:
         tau = _rule_permutation(states, h, rule)
     return make_unitary_dqta(h, width, tau)
-
-
-def _stateless(op):
-    return make_unitary_dqta(1, op.mat.shape[0], op)
 
 
 def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
@@ -307,26 +301,26 @@ def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
         raise ValueError("cell interfaces must split into left and right "
                          f"halves, got k={cell.k}, l={cell.l}")
     s = cell.k // 2
-    route_in = block_perm([s] * 4, [2, 1, 0, 3])
-    route_out = block_perm([s] * 4, [0, 3, 2, 1] if mirror else [2, 0, 1, 3])
+    # summands [left, right] of the chain so far, then of the new cell,
+    # listed with the internal pair leading on both sides
+    in_order = [2, 1, 0, 3]
+    out_order = [0, 3, 2, 1] if mirror else [1, 2, 0, 3]
     chain = cell
     for _ in range(n - 1):
         x = turing_tensor(chain, cell)
-        # composing with a stateless route automaton is exactly this
-        # conjugation, so apply it in one pass instead of two cascades
-        routed = Operator(kron(identity(x.h), route_out).mat
-                          @ x.tau.mat
-                          @ kron(identity(x.h), route_in).mat)
+        rows = summand_index(x.h, [s] * 4, out_order)
+        cols = summand_index(x.h, [s] * 4, in_order)
+        routed = Operator(x.tau.mat[np.ix_(rows, cols)])
         chain = feedback_dqta(
             make_dqta(x.h, x.k, x.l, routed, tol=COMPOSITE_TOL), 2 * s)
     if ring:
         # default wiring wraps right outputs around to left inputs, which
         # needs the half swap; mirrored wiring closes up positionally
-        if mirror:
-            chain = feedback_dqta(chain, 2 * s)
-        else:
-            closer = _stateless(block_perm([s, s], [1, 0]))
-            chain = feedback_dqta(cascade(chain, closer), 2 * s)
+        if not mirror:
+            rows = summand_index(chain.h, [s, s], [1, 0])
+            chain = make_dqta(chain.h, chain.k, chain.l,
+                              Operator(chain.tau.mat[rows]), tol=COMPOSITE_TOL)
+        chain = feedback_dqta(chain, 2 * s)
     return make_unitary_dqta(chain.h, chain.k, chain.tau, tol=COMPOSITE_TOL)
 
 

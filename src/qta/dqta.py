@@ -29,14 +29,12 @@ from .linalg import (
     Operator,
     ShapeError,
     adjoint,
-    distribute,
-    dsum,
     identity,
     isometry_defect,
     kron,
     op_distance,
     sum_swap,
-    tensor_swap,
+    summand_index,
     unitary_defect,
 )
 from .trace import BlockMap, schur_feedback
@@ -98,53 +96,54 @@ def make_unitary_dqta(h: int, k: int, tau: Operator,
 def cascade(t1: Dqta, t2: Dqta) -> Dqta:
     """Sequential product: t1's output interface becomes t2's input.
 
-    The composite lives on H1 (x) H2.  Each transition acts on its own
-    state factor; explicit swaps bring that factor to the front, so the
-    whole composite reads: swap H1 up, run t1, swap H2 up, run t2.
+    The composite lives on H1 (x) H2, each transition acting on its own
+    state factor: on the (h, l, h, k) views of the transitions this is
+    one contraction over the middle interface.
     """
     if t1.l != t2.k:
         raise ShapeError(f"cascade interface mismatch: {t1.l} != {t2.k}")
-    h1, h2, mid = t1.h, t2.h, t1.l
-    step_in = kron(tensor_swap(h1, h2), identity(t1.k))
-    act1 = kron(identity(h2), t1.tau)
-    step_mid = kron(tensor_swap(h2, h1), identity(mid))
-    act2 = kron(identity(h1), t2.tau)
-    tau = Operator(act2.mat @ step_mid.mat @ act1.mat @ step_in.mat)
+    h1, h2 = t1.h, t2.h
+    tau = np.einsum("ayAx,bzBy->abzABx",
+                    t1.tau.mat.reshape(h1, t1.l, h1, t1.k),
+                    t2.tau.mat.reshape(h2, t2.l, h2, t2.k))
+    tau = Operator(tau.reshape(h1 * h2 * t2.l, h1 * h2 * t1.k))
     return make_dqta(h1 * h2, t1.k, t2.l, tau, tol=COMPOSITE_TOL)
 
 
 def turing_tensor(t1: Dqta, t2: Dqta) -> Dqta:
     """Parallel product: states tensor, interfaces concatenate.
 
-    On the summand coming from t1 the particle only sees t1 (acting on
-    the H1 factor through swaps), and likewise for t2; the two summand
-    actions are glued by the distributivity permutation on each side.
+    On the summand coming from t1 the particle only sees t1, acting on
+    the H1 factor, and likewise for t2; each block is written in place
+    on the (h1, h2, l, h1, h2, k) view of the composite transition.
     """
     h1, h2 = t1.h, t2.h
-    h = h1 * h2
-    act1 = (kron(tensor_swap(h2, h1), identity(t1.l)).mat
-            @ kron(identity(h2), t1.tau).mat
-            @ kron(tensor_swap(h1, h2), identity(t1.k)).mat)
-    act2 = kron(identity(h1), t2.tau).mat
-    joint = dsum(Operator(act1), Operator(act2))
-    d_in = distribute(h, [t1.k, t2.k])
-    d_out = distribute(h, [t1.l, t2.l])
-    tau = Operator(adjoint(d_out).mat @ joint.mat @ d_in.mat)
-    return make_dqta(h, t1.k + t2.k, t1.l + t2.l, tau, tol=COMPOSITE_TOL)
+    k, l = t1.k + t2.k, t1.l + t2.l
+    tau = np.zeros((h1, h2, l, h1, h2, k), dtype=complex)
+    b = np.arange(h2)
+    tau[:, b, :t1.l, :, b, :t1.k] = t1.tau.mat.reshape(h1, t1.l, h1, t1.k)
+    a = np.arange(h1)
+    tau[a, :, t1.l:, a, :, t1.k:] = t2.tau.mat.reshape(h2, t2.l, h2, t2.k)
+    tau = Operator(tau.reshape(h1 * h2 * l, h1 * h2 * k))
+    return make_dqta(h1 * h2, k, l, tau, tol=COMPOSITE_TOL)
 
 
 def feedback_dqta(t: Dqta, u: int) -> Dqta:
     """Close the loop over the leading u-dimensional interface summand.
 
-    Reorders the transition so the loop block H (x) U leads on both
-    sides, then applies the closed-form feedback.  Other summands can be
-    routed into leading position with symmetry automata first.
+    Gathers the transition into the distributivity layout
+    (H (x) U) (+) (H (x) rest) on both sides, so the loop block leads,
+    then applies the closed-form feedback.  Other summands can be routed
+    into leading position with symmetry automata first.
     """
     if u < 0 or u > t.k or u > t.l:
         raise ShapeError(f"feedback dim {u} exceeds interfaces ({t.k}, {t.l})")
-    d_in = distribute(t.h, [u, t.k - u])
-    d_out = distribute(t.h, [u, t.l - u])
-    looped = Operator(d_out.mat @ t.tau.mat @ adjoint(d_in).mat)
+
+    def loop_first(n):
+        return np.concatenate([summand_index(t.h, [u, n - u], [j])
+                               for j in (0, 1)])
+
+    looped = Operator(t.tau.mat[np.ix_(loop_first(t.l), loop_first(t.k))])
     m = BlockMap(looped, t.h * u, t.h * (t.k - u), t.h * (t.l - u))
     closed = schur_feedback(m, tol=COMPOSITE_TOL)
     return make_dqta(t.h, t.k - u, t.l - u, closed, tol=COMPOSITE_TOL)
@@ -161,25 +160,32 @@ def unit_automata(k: int, l: int):
     return ident, sym
 
 
-def iso_witness_check(t1: Dqta, t2: Dqta, sigma: Operator,
-                      tol: float = COMPOSITE_TOL) -> bool:
-    """Does sigma: H1 -> H2 witness that t1 and t2 are the same machine?
+def witnessed_distance(t1: Dqta, t2: Dqta, sigma: Operator) -> float:
+    """How far sigma: H1 -> H2 is from witnessing that t1 and t2 are the
+    same machine.
 
-    True iff sigma is unitary and conjugating t1's transition by sigma
-    on the state factor reproduces t2's transition within tol.  The
-    witness is always supplied, never searched for.
+    The worse of sigma's unitary defect and the distance from t2's
+    transition to t1's conjugated by sigma on the state factor; infinite
+    when sigma is not square.  The witness is always supplied, never
+    searched for.
     """
     if t1.k != t2.k or t1.l != t2.l:
         raise ShapeError("witness check needs matching interfaces")
     if sigma.cols != t1.h or sigma.rows != t2.h:
         raise ShapeError(
             f"witness is {sigma.rows}x{sigma.cols}, expected {t2.h}x{t1.h}")
-    if sigma.rows != sigma.cols or unitary_defect(sigma) > tol:
-        return False
+    if sigma.rows != sigma.cols:
+        return float("inf")
     moved = (kron(sigma, identity(t1.l)).mat
              @ t1.tau.mat
              @ kron(adjoint(sigma), identity(t1.k)).mat)
-    return op_distance(Operator(moved), t2.tau) <= tol
+    return max(unitary_defect(sigma), op_distance(Operator(moved), t2.tau))
+
+
+def iso_witness_check(t1: Dqta, t2: Dqta, sigma: Operator,
+                      tol: float = COMPOSITE_TOL) -> bool:
+    """Does sigma witness t1 and t2 as the same machine within tol?"""
+    return witnessed_distance(t1, t2, sigma) <= tol
 
 
 def dagger_dqta(t: Dqta, tol: float = DQTA_TOL) -> UnitaryDqta:

@@ -14,31 +14,34 @@ square automaton whose interfaces split as [forward, backward] on both
 sides as a morphism.  bidirectionalize sends a directed automaton t to
 the name of the forward/backward pair t (+) dagger(t).
 
-Every operation reduces to dqta-module algebra plus explicit permutation
-routing; no isomorphism search, no symbolic structure.
+Every operation reduces to dqta-module algebra plus routing by index
+maps: summands are relabelled by gathering the carrier's rows and columns
+through linalg.summand_index, never by multiplying with a permutation
+matrix.  No isomorphism search, no symbolic structure.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .linalg import (
+    IsometryError,
     Operator,
     ShapeError,
-    block_perm,
     dsum,
     identity,
-    kron,
     sum_swap,
+    summand_index,
     unitary_defect,
 )
-from .linalg import IsometryError
 from .dqta import (
     COMPOSITE_TOL,
     DQTA_TOL,
     Dqta,
     UnitaryDqta,
-    cascade,
     dagger_dqta,
     feedback_dqta,
+    make_dqta,
     make_unitary_dqta,
     turing_tensor,
 )
@@ -89,10 +92,12 @@ class Int0Morphism:
                 f"carrier interface {self.carrier.k} != {self.src} + {self.dst}")
 
 
-def _route(dims, perm) -> UnitaryDqta:
-    """Stateless automaton permuting interface summands."""
-    op = block_perm(dims, perm)
-    return make_unitary_dqta(1, op.cols, op)
+def _reorder(t, in_dims, in_order, out_dims, out_order) -> Operator:
+    """t's transition with its input and output summands listed in the
+    given orders of the old summands."""
+    rows = summand_index(t.h, out_dims, out_order)
+    cols = summand_index(t.h, in_dims, in_order)
+    return Operator(t.tau.mat[np.ix_(rows, cols)])
 
 
 def int_identity(k: int) -> Int0Morphism:
@@ -115,10 +120,11 @@ def int_compose(f: Int0Morphism, g: Int0Morphism) -> Int0Morphism:
         raise ShapeError(f"middle rank mismatch: {f.dst} != {g.src}")
     k, l, m = f.src, f.dst, g.dst
     x = turing_tensor(f.carrier, g.carrier)
-    # x input summands  [K, Lret_f, Lin_g, Mret], output [Lfwd_f, Kret, Mfwd, Lret_g]
-    route_in = _route([l, l, k, m], [1, 2, 0, 3])    # loop copies first
-    route_out = _route([l, k, m, l], [1, 3, 2, 0])   # -> [Lret_g, Lfwd_f, Mfwd, Kret]
-    y = cascade(cascade(route_in, x), route_out)
+    # loop copies first: x input summands [K, Lret_f, Lin_g, Mret] become
+    # [Lret_f, Lin_g, K, Mret], output [Lfwd_f, Kret, Mfwd, Lret_g] becomes
+    # [Lret_g, Lfwd_f, Mfwd, Kret]
+    routed = _reorder(x, [k, l, l, m], [1, 2, 0, 3], [l, k, m, l], [3, 0, 2, 1])
+    y = make_dqta(x.h, x.k, x.l, routed, tol=COMPOSITE_TOL)
     closed = feedback_dqta(y, 2 * l)
     carrier = make_unitary_dqta(closed.h, k + m, closed.tau, tol=COMPOSITE_TOL)
     return Int0Morphism(k, m, carrier)
@@ -127,31 +133,26 @@ def int_compose(f: Int0Morphism, g: Int0Morphism) -> Int0Morphism:
 def int_tensor(f: Int0Morphism, g: Int0Morphism) -> Int0Morphism:
     """Monoidal product: ranks add, with the middle summands interleaved.
 
-    The tensored carrier orders summands machine-by-machine; two block
-    swaps regroup them as forward-parts-first, return-parts-last.
+    The tensored carrier orders summands machine-by-machine; regrouping
+    them as forward-parts-first, return-parts-last swaps the middle two.
     """
     k, l, kp, lp = f.src, f.dst, g.src, g.dst
     x = turing_tensor(f.carrier, g.carrier)
-    pre = make_unitary_dqta(
-        1, k + kp + l + lp,
-        dsum(identity(k), dsum(sum_swap(kp, l), identity(lp))))
-    post = make_unitary_dqta(
-        1, l + lp + k + kp,
-        dsum(identity(l), dsum(sum_swap(k, lp), identity(kp))))
-    y = cascade(cascade(pre, x), post)
-    carrier = make_unitary_dqta(y.h, k + kp + l + lp, y.tau, tol=COMPOSITE_TOL)
+    # x input summands [K, L, K', L'], output [L, K, L', K']
+    routed = _reorder(x, [k, l, kp, lp], [0, 2, 1, 3],
+                      [l, k, lp, kp], [0, 2, 1, 3])
+    carrier = make_unitary_dqta(x.h, k + kp + l + lp, routed, tol=COMPOSITE_TOL)
     return Int0Morphism(k + kp, l + lp, carrier)
 
 
 def int_dagger(f: Int0Morphism) -> Int0Morphism:
-    """Reverse a morphism by conjugating its carrier with interface swaps.
+    """Reverse a morphism by swapping its carrier's interface summands.
 
     Purely a renaming of summands, so dagger(dagger(f)) is exactly f and
     the operation is contravariant over int_compose.
     """
     k, l = f.src, f.dst
-    swap = kron(identity(f.carrier.h), sum_swap(l, k))
-    tau = Operator(swap.mat @ f.carrier.tau.mat @ swap.mat)
+    tau = _reorder(f.carrier, [k, l], [1, 0], [l, k], [1, 0])
     carrier = make_unitary_dqta(f.carrier.h, l + k, tau, tol=COMPOSITE_TOL)
     return Int0Morphism(l, k, carrier)
 
@@ -182,22 +183,20 @@ def canonical_trace(f: Int0Morphism, u: int) -> Int0Morphism:
 def name_of(f: Int0Morphism) -> Qta:
     """Flatten a morphism to an undirected automaton on rank src + dst.
 
-    Post-composes the carrier with the interface swap, turning the map
+    Swaps the carrier's output summands, turning the map
     K (+) L -> L (+) K into a square operator on K (+) L.
     """
-    h = f.carrier.h
-    swap = kron(identity(h), sum_swap(f.dst, f.src))
-    tau = Operator(swap.mat @ f.carrier.tau.mat)
-    return make_qta(h, f.src + f.dst, tau, tol=COMPOSITE_TOL)
+    h, n = f.carrier.h, f.src + f.dst
+    tau = _reorder(f.carrier, [n], [0], [f.dst, f.src], [1, 0])
+    return make_qta(h, n, tau, tol=COMPOSITE_TOL)
 
 
 def unname(q: Qta, src: int, dst: int) -> Int0Morphism:
     """Exact inverse of name_of for the given rank split."""
     if src < 0 or dst < 0 or src + dst != q.n:
         raise ShapeError(f"rank split {src} + {dst} != {q.n}")
-    swap = kron(identity(q.h), sum_swap(src, dst))
-    tau = Operator(swap.mat @ q.tau.mat)
-    carrier = make_unitary_dqta(q.h, src + dst, tau, tol=COMPOSITE_TOL)
+    tau = _reorder(q, [q.n], [0], [src, dst], [1, 0])
+    carrier = make_unitary_dqta(q.h, q.n, tau, tol=COMPOSITE_TOL)
     return Int0Morphism(src, dst, carrier)
 
 
@@ -209,9 +208,8 @@ def as_int0(t: Dqta, src: int) -> Int0Morphism:
     if src < 0 or src > t.k:
         raise ShapeError(f"forward rank {src} exceeds interface {t.k}")
     dst = t.k - src
-    swap = kron(identity(t.h), sum_swap(src, dst))
-    carrier = make_unitary_dqta(t.h, t.k, Operator(swap.mat @ t.tau.mat),
-                                tol=COMPOSITE_TOL)
+    tau = _reorder(t, [t.k], [0], [src, dst], [1, 0])
+    carrier = make_unitary_dqta(t.h, t.k, tau, tol=COMPOSITE_TOL)
     return Int0Morphism(src, dst, carrier)
 
 

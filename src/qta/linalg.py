@@ -4,12 +4,14 @@ Conventions fixed here once and relied on by every other module:
 
 * an operator f: X -> Y is a (dim Y) x (dim X) complex matrix acting on
   column vectors;
-* ``compose_then(f, g)`` applies f first, so the underlying product is
-  ``g.mat @ f.mat``;
+* the composite applying f first, then g, is ``g.mat @ f.mat``;
 * the basis of a tensor product is lexicographic with the left factor
   outermost;
 * the basis of a direct sum is the concatenation of the summand bases,
-  left summand first.
+  left summand first;
+* routing is by gather: ``summand_index`` lists basis indices in their
+  new order, so ``tau.mat[np.ix_(rows, cols)]`` relabels a transition's
+  summands without a permutation matrix or any arithmetic.
 
 All rank decisions (pseudoinverse cutoffs, kernel dimensions) use a
 relative singular value threshold ``tol * sigma_max`` so they are scale
@@ -17,8 +19,6 @@ invariant.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,41 +76,12 @@ class Operator:
         return f"Operator({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class SpaceDims:
-    """Ordered direct-sum decomposition of a space into summand dimensions.
-
-    A zero part denotes the zero space, which is the unit for the sum.
-    """
-
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if any(p < 0 for p in parts):
-            raise ValueError(f"summand dimensions must be nonnegative: {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-
 def identity(n: int) -> Operator:
     return Operator(np.eye(n))
 
 
 def zeros(rows: int, cols: int) -> Operator:
     return Operator(np.zeros((rows, cols)))
-
-
-def compose_then(f: Operator, g: Operator) -> Operator:
-    """Composite applying f first, then g."""
-    if f.rows != g.cols:
-        raise ShapeError(
-            f"cannot compose {f.rows}x{f.cols} then {g.rows}x{g.cols}: "
-            f"codomain dim {f.rows} does not match domain dim {g.cols}")
-    return Operator(g.mat @ f.mat)
 
 
 def adjoint(f: Operator) -> Operator:
@@ -131,61 +102,33 @@ def dsum(f: Operator, g: Operator) -> Operator:
     return Operator(out)
 
 
+def summand_index(h: int, dims, order) -> np.ndarray:
+    """Gather index of H (x) (D_0 (+) ... (+) D_n-1) listing summands in order.
+
+    For each basis vector of the h-dimensional state factor (outermost),
+    the flat indices of summands order[0], order[1], ... follow one
+    another.  A permutation of range(n) reorders the summands in place;
+    a subset selects them, and concatenating the indices of [0], [1], ...
+    gives the distributivity layout (H (x) D_0) (+) (H (x) D_1) (+) ...
+    """
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    inner = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in order])
+    return (offsets[-1] * np.arange(h)[:, None] + inner).reshape(-1)
+
+
+def _permutation(index) -> Operator:
+    """The operator sending v to v[index]."""
+    return Operator(np.eye(len(index))[index])
+
+
 def tensor_swap(m: int, n: int) -> Operator:
     """Symmetry of the multiplicative tensor, sending basis (i, j) to (j, i)."""
-    idx = np.arange(m * n)
-    out = (idx % n) * m + idx // n
-    p = np.zeros((m * n, m * n))
-    p[out, idx] = 1.0
-    return Operator(p)
-
-
-def block_perm(dims, perm) -> Operator:
-    """Permutation operator reordering direct-sum blocks.
-
-    Domain block i (of dimension dims[i]) is sent identically to position
-    perm[i] of the codomain, whose block sizes are dims permuted the same
-    way.
-    """
-    dims = [int(d) for d in dims]
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"not a permutation of {len(dims)} blocks: {perm}")
-    out_dims = [0] * len(dims)
-    for i, p in enumerate(perm):
-        out_dims[p] = dims[i]
-    in_off = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    out_off = np.concatenate([[0], np.cumsum(out_dims)]).astype(int)
-    total = int(in_off[-1])
-    mat = np.zeros((total, total))
-    for i, p in enumerate(perm):
-        mat[out_off[p]:out_off[p] + dims[i], in_off[i]:in_off[i] + dims[i]] = np.eye(dims[i])
-    return Operator(mat)
+    return _permutation(np.arange(m * n).reshape(m, n).T.reshape(-1))
 
 
 def sum_swap(m: int, n: int) -> Operator:
     """Symmetry of the additive tensor, the block antidiagonal [[0, I], [I, 0]]."""
-    return block_perm([m, n], [1, 0])
-
-
-def distribute(h: int, parts) -> Operator:
-    """Distributivity permutation H (x) (K_1 (+) ... (+) K_n) -> (H (x) K_1) (+) ...
-
-    Basis pair (i, offset_j + x) goes to index i * k_j + x inside summand j.
-    """
-    if isinstance(parts, SpaceDims):
-        parts = parts.parts
-    parts = [int(p) for p in parts]
-    total = sum(parts)
-    offsets = np.concatenate([[0], np.cumsum(parts)]).astype(int)
-    n = h * total
-    mat = np.zeros((n, n))
-    for j, kj in enumerate(parts):
-        for i in range(h):
-            src = i * total + offsets[j] + np.arange(kj)
-            dst = h * offsets[j] + i * kj + np.arange(kj)
-            mat[dst, src] = 1.0
-    return Operator(mat)
+    return _permutation(summand_index(1, [m, n], [1, 0]))
 
 
 def mp_inverse(f: Operator, tol: float = RANK_TOL) -> Operator:
@@ -250,20 +193,6 @@ def kernel_on_top(a: Operator, tol: float = RANK_TOL):
         r = n  # a = I, everything is kernel
     order = np.concatenate([np.arange(n - r, n), np.arange(n - r)]).astype(int)
     return Operator(u[:, order].conj().T), r
-
-
-def neumann_partial(a: Operator, n: int) -> Operator:
-    """Partial sum I + a + a^2 + ... + a^n."""
-    if a.rows != a.cols:
-        raise ShapeError(f"neumann_partial needs a square operator, got {a.rows}x{a.cols}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    total = np.eye(a.rows, dtype=complex)
-    term = np.eye(a.rows, dtype=complex)
-    for _ in range(n):
-        term = a.mat @ term
-        total = total + term
-    return Operator(total)
 
 
 def random_isometry(rows: int, cols: int, seed) -> Operator:

@@ -1,4 +1,5 @@
 import glob
+import importlib.util
 import json
 import os
 
@@ -136,6 +137,22 @@ def test_shipped_examples_round_trip(tmp_path):
         assert again.labels == record.labels
         assert (again.kind, again.h, again.k, again.l) == (
             record.kind, record.h, record.k, record.l)
+
+
+def test_shipped_examples_regenerate_byte_for_byte(tmp_path, capsys):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "make_examples.py")
+    spec = importlib.util.spec_from_file_location("make_examples", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(str(tmp_path))
+    shipped = sorted(os.path.basename(f)
+                     for f in glob.glob(os.path.join(DATA_DIR, "*.json")))
+    assert len(shipped) == 5
+    assert sorted(os.listdir(tmp_path)) == shipped
+    for name in shipped:
+        with open(os.path.join(DATA_DIR, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 # -------------------------------------------------------------------- cells

@@ -5,21 +5,17 @@ from hypothesis import given, settings, strategies as st
 from qta.linalg import (
     Operator,
     ShapeError,
-    SpaceDims,
     adjoint,
-    block_perm,
-    compose_then,
-    distribute,
     dsum,
     identity,
     isometry_defect,
     kernel_on_top,
     kron,
     mp_inverse,
-    neumann_partial,
     op_distance,
     random_isometry,
     sum_swap,
+    summand_index,
     tensor_swap,
     unitary_defect,
     zeros,
@@ -50,58 +46,6 @@ def test_operator_is_read_only():
         op.mat[0, 0] = 2.0
 
 
-def test_space_dims():
-    sd = SpaceDims((2, 0, 3))
-    assert sd.total == 5
-    with pytest.raises(ValueError):
-        SpaceDims((2, -1))
-
-
-# ------------------------------------------------------------- composition
-
-def test_compose_then_identity_law():
-    rng = np.random.default_rng(1)
-    g = rand_op(rng, 2, 3)
-    assert op_distance(compose_then(identity(3), g), g) == 0.0
-    assert op_distance(compose_then(g, identity(2)), g) == 0.0
-
-
-def test_compose_then_swap_involution():
-    swap = Operator([[0, 1], [1, 0]])
-    assert op_distance(compose_then(swap, swap), identity(2)) == 0.0
-
-
-def test_compose_then_scalars():
-    out = compose_then(Operator([[2]]), Operator([[3]]))
-    assert out.mat[0, 0] == 6
-
-
-def test_compose_then_shape_error():
-    with pytest.raises(ShapeError):
-        compose_then(rand_op(np.random.default_rng(0), 2, 3),
-                     rand_op(np.random.default_rng(0), 3, 4))
-
-
-def test_compose_then_applies_f_first():
-    # f: C^1 -> C^2 then g: C^2 -> C^1, composite must be g.mat @ f.mat
-    f = Operator([[1], [2]])
-    g = Operator([[3, 4]])
-    assert compose_then(f, g).mat[0, 0] == 11
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_compose_then_associative(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c, d = rng.integers(1, 5, size=4)
-    f = rand_op(rng, b, a)
-    g = rand_op(rng, c, b)
-    h = rand_op(rng, d, c)
-    lhs = compose_then(compose_then(f, g), h)
-    rhs = compose_then(f, compose_then(g, h))
-    assert op_distance(lhs, rhs) <= 1e-12
-
-
 # ----------------------------------------------------------------- adjoint
 
 def test_adjoint_examples():
@@ -120,8 +64,8 @@ def test_adjoint_reverses_composition(seed):
     a, b, c = rng.integers(1, 5, size=3)
     f = rand_op(rng, b, a)
     g = rand_op(rng, c, b)
-    lhs = adjoint(compose_then(f, g))
-    rhs = compose_then(adjoint(g), adjoint(f))
+    lhs = adjoint(Operator(g.mat @ f.mat))
+    rhs = Operator(adjoint(f).mat @ adjoint(g).mat)
     assert op_distance(lhs, rhs) <= 1e-12
 
 
@@ -164,11 +108,11 @@ def test_kron_and_dsum_functorial(seed):
     f2 = rand_op(rng, c, b)
     g = rand_op(rng, e, d)
     g2 = rand_op(rng, f6, e)
-    lhs = compose_then(kron(f, g), kron(f2, g2))
-    rhs = kron(compose_then(f, f2), compose_then(g, g2))
+    lhs = Operator(kron(f2, g2).mat @ kron(f, g).mat)
+    rhs = kron(Operator(f2.mat @ f.mat), Operator(g2.mat @ g.mat))
     assert op_distance(lhs, rhs) <= 1e-12
-    lhs = compose_then(dsum(f, g), dsum(f2, g2))
-    rhs = dsum(compose_then(f, f2), compose_then(g, g2))
+    lhs = Operator(dsum(f2, g2).mat @ dsum(f, g).mat)
+    rhs = dsum(Operator(f2.mat @ f.mat), Operator(g2.mat @ g.mat))
     assert op_distance(lhs, rhs) <= 1e-12
 
 
@@ -184,7 +128,7 @@ def test_tensor_swap_examples():
 
 def test_tensor_swap_involution():
     for m, n in [(2, 3), (4, 1), (3, 3), (0, 2)]:
-        p = compose_then(tensor_swap(m, n), tensor_swap(n, m))
+        p = Operator(tensor_swap(n, m).mat @ tensor_swap(m, n).mat)
         assert op_distance(p, identity(m * n)) == 0.0
 
 
@@ -202,7 +146,7 @@ def test_sum_swap_examples():
     assert np.allclose(sum_swap(1, 1).mat, [[0, 1], [1, 0]])
     assert op_distance(sum_swap(3, 0), identity(3)) == 0.0
     assert op_distance(sum_swap(0, 3), identity(3)) == 0.0
-    p = compose_then(sum_swap(2, 3), sum_swap(3, 2))
+    p = Operator(sum_swap(3, 2).mat @ sum_swap(2, 3).mat)
     assert op_distance(p, identity(5)) == 0.0
 
 
@@ -211,52 +155,23 @@ def test_sum_swap_block_layout():
     assert np.allclose(p, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
-def test_block_perm():
-    p = block_perm([1, 2, 1], [2, 0, 1])
-    v = np.array([10.0, 20, 21, 30])
-    assert np.allclose(p.mat @ v, [20, 21, 30, 10])
-    with pytest.raises(ValueError):
-        block_perm([1, 2], [0, 0])
+# ----------------------------------------------------------- summand_index
 
-
-# -------------------------------------------------------------- distribute
-
-def test_distribute_trivial():
-    assert op_distance(distribute(1, [2, 3]), identity(5)) == 0.0
-    assert op_distance(distribute(4, [3]), identity(12)) == 0.0
-
-
-def test_distribute_hand_enumerated():
-    # h=2, parts=[1,1]: (0,a),(0,b),(1,a),(1,b) -> (0,a),(1,a),(0,b),(1,b)
-    expected = np.zeros((4, 4))
-    expected[0, 0] = expected[1, 2] = expected[2, 1] = expected[3, 3] = 1
-    assert np.allclose(distribute(2, [1, 1]).mat, expected)
-
-
-def test_distribute_is_permutation():
-    d = distribute(3, SpaceDims((2, 0, 1)))
-    assert unitary_defect(d) == 0.0
-    assert np.allclose(np.abs(d.mat).sum(axis=0), 1)
-
-
-def test_distribute_block_structure():
-    # conjugating a dsum of kron blocks back through distribute reassembles
-    # the direct tensor with the summed space innermost
-    h, k1, k2 = 2, 2, 1
-    rng = np.random.default_rng(6)
-    f1 = rand_op(rng, h * k1, h * k1)
-    f2 = rand_op(rng, h * k2, h * k2)
-    d = distribute(h, [k1, k2])
-    assembled = d.mat.T @ dsum(f1, f2).mat @ d.mat
-    # basis vector (i=0, second summand x=0) lives at index k1 in H x (K1+K2)
-    v = np.zeros(h * (k1 + k2))
-    v[k1] = 1.0
-    out = assembled @ v
-    direct = np.zeros(h * (k1 + k2), dtype=complex)
-    w = f2.mat[:, 0]  # image of basis (i=0, x=0) under the summand-2 block
-    for i in range(h):
-        direct[i * (k1 + k2) + k1] = w[i]
-    assert np.allclose(out, direct)
+@pytest.mark.parametrize("h, dims, orders, expected", [
+    # one state: the distributivity layout is the identity
+    (1, [2, 3], [[0], [1]], np.eye(5)),
+    # blocks [a | b0 b1 | c] listed as [b, c, a]
+    (1, [1, 2, 1], [[1, 2, 0]],
+     [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]),
+    # distributivity, h=2 over [1, 1]:
+    # (0,a),(0,b),(1,a),(1,b) -> (0,a),(1,a),(0,b),(1,b)
+    (2, [1, 1], [[0], [1]],
+     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+], ids=["trivial", "block-reorder", "distribute"])
+def test_summand_index_layout(h, dims, orders, expected):
+    index = np.concatenate([summand_index(h, dims, o) for o in orders])
+    assert np.array_equal(np.sort(index), np.arange(len(index)))
+    assert np.array_equal(np.eye(len(index))[index], expected)
 
 
 # ------------------------------------------------------------- mp_inverse
@@ -302,7 +217,7 @@ def test_mp_inverse_penrose_conditions_200_instances():
             r = int(rng.integers(1, min(rows, cols) + 1))
             a = rand_op(rng, rows, r)
             b = rand_op(rng, r, cols)
-            f = compose_then(b, a)
+            f = Operator(a.mat @ b.mat)
         else:
             f = rand_op(rng, rows, cols)
         assert penrose_residuals(f, mp_inverse(f)) <= 1e-9
@@ -394,23 +309,6 @@ def test_kernel_on_top_invariants():
         conj = s.mat @ (np.eye(n) - a.mat) @ s.mat.conj().T
         if r_found:
             assert np.max(np.abs(conj[:r_found, :])) <= 10 * 1e-10
-
-
-# --------------------------------------------------------- neumann_partial
-
-def test_neumann_partial_examples():
-    rng = np.random.default_rng(11)
-    a = rand_op(rng, 3, 3)
-    assert op_distance(neumann_partial(a, 0), identity(3)) == 0.0
-    out = neumann_partial(Operator([[0.5]]), 10)
-    assert out.mat[0, 0] == pytest.approx(1.9990234375, abs=1e-15)
-    assert op_distance(neumann_partial(zeros(2, 2), 7), identity(2)) == 0.0
-
-
-def test_neumann_partial_matches_direct_inverse():
-    a = Operator([[0.2, 0.1], [0.0, 0.3]])
-    inv = np.linalg.inv(np.eye(2) - a.mat)
-    assert np.allclose(neumann_partial(a, 60).mat, inv)
 
 
 # --------------------------------------------------------- random_isometry

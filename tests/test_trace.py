@@ -6,7 +6,6 @@ from qta.linalg import (
     Operator,
     ShapeError,
     adjoint,
-    compose_then,
     identity,
     isometry_defect,
     op_distance,
@@ -128,7 +127,7 @@ def test_schur_core_identity_when_invertible():
             continue
         checked += 1
         s = Operator(d.mat + b.mat @ np.linalg.inv(n) @ c.mat)
-        assert op_distance(compose_then(s, adjoint(s)), identity(k)) <= 1e-8
+        assert op_distance(Operator(adjoint(s).mat @ s.mat), identity(k)) <= 1e-8
         assert op_distance(s, schur_feedback(m)) <= 1e-8
     assert checked >= 40
 
