@@ -43,7 +43,6 @@ from .axioms import (
 )
 from .dqta import (
     COMPOSITE_TOL,
-    DQTA_TOL,
     Dqta,
     UnitaryDqta,
     cascade,
@@ -54,6 +53,7 @@ from .dqta import (
 )
 from .intcat import Qta, as_int0, bidirectionalize, make_qta, name_of
 from .linalg import (
+    IsometryError,
     Operator,
     isometry_defect,
     summand_index,
@@ -182,8 +182,11 @@ def _build_value(record: AutomatonFile):
     if record.kind == "qta":
         return make_qta(record.h, record.k, Operator(record.matrix))
     tau = Operator(record.matrix)
-    if record.k == record.l and unitary_defect(tau) <= DQTA_TOL:
-        return make_unitary_dqta(record.h, record.k, tau)
+    if record.k == record.l:
+        try:
+            return make_unitary_dqta(record.h, record.k, tau)
+        except IsometryError:
+            pass
     return make_dqta(record.h, record.k, record.l, tau)
 
 
@@ -212,7 +215,9 @@ def write_automaton(value, path, labels=None):
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")
     with open(path, "w") as fh:
-        json.dump(record, fh)
+        # json.dumps encodes in C in one pass; json.dump streams through
+        # the pure-Python encoder, several times slower on large matrices
+        fh.write(json.dumps(record))
         fh.write("\n")
 
 

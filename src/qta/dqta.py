@@ -192,10 +192,12 @@ def dagger_dqta(t: Dqta, tol: float = DQTA_TOL) -> UnitaryDqta:
     """Run a unitary automaton backwards: adjoint transition, L -> K.
 
     Involutive on the nose: dagger(dagger(t)) has exactly t's matrix.
+    The adjoint has the same unitary defect as t.tau, so one check
+    covers both.
     """
     if t.k != t.l:
         raise ShapeError(f"dagger needs k = l, got {t.k}, {t.l}")
     defect = unitary_defect(t.tau)
     if defect > tol:
         raise IsometryError("dagger needs a unitary transition", defect)
-    return make_unitary_dqta(t.h, t.l, adjoint(t.tau), tol=tol)
+    return UnitaryDqta(t.h, t.l, t.l, adjoint(t.tau))

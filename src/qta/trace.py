@@ -15,6 +15,17 @@ Block layout of a BlockMap op (conventional orientation, rows = codomain):
 
     [[A, C],
      [B, D]]     A: U -> U,  C: K -> U,  B: U -> L,  D: K -> L.
+
+Why any generalized inverse gives the same feedback.  A is a contraction.
+If Ax = x, the isometry keeps the length of (x, 0), so |x|^2 = |Ax|^2 +
+|Bx|^2 forces Bx = 0.  If A^dagger y = y, then <Ay, y> = |y|^2 with
+|Ay| <= |y| forces Ay = y, so (y, 0) maps to itself; the isometry keeps
+it orthogonal to the image (Cz, Dz) of every (0, z), so C^dagger y = 0.
+Hence ker(I - A) lies in ker B and ran C in ran(I - A): B = P (I - A) and
+C = (I - A) Q for some P, Q.  For every G with (I - A) G (I - A) = I - A,
+B G C = P (I - A) Q, whichever G is taken.  The Moore-Penrose inverse is
+one such G, and so is the plain inverse when I - A is invertible, which
+is what lets ``linalg.mp_inverse`` answer with an LU inverse there.
 """
 
 from __future__ import annotations
@@ -110,11 +121,13 @@ def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10,
     Iterates the partial sums (or their Cesaro averages when
     mode="cesaro"), stopping once the increment from one iterate to the
     next falls to tol or max_n is reached.  Returns (operator, report);
-    non-convergence is reported, not raised.
+    non-convergence is reported, not raised.  The input must be an
+    isometry within ISOMETRY_TOL, as for the other two semantics; tol
+    only stops the iteration.
     """
     if mode not in ("partial-sums", "cesaro"):
         raise ValueError(f"unknown mode {mode!r}")
-    _require_isometry(m, tol)
+    _require_isometry(m, ISOMETRY_TOL)
     a, b, c, d = split_blocks(m)
     if m.u == 0:
         return d, ConvergenceReport(steps=0, residual=0.0, converged=True, mode=mode)

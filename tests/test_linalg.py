@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qta.linalg import (
+    RANK_TOL,
     Operator,
     ShapeError,
     adjoint,
@@ -244,6 +245,66 @@ def test_mp_inverse_respects_kron_with_identity():
         lhs = mp_inverse(kron(sigma, identity(m)))
         rhs = kron(mp_inverse(sigma), identity(m))
         assert op_distance(lhs, rhs) <= 1e-9
+
+
+def svd_inverse(f, tol=RANK_TOL):
+    """The SVD pseudoinverse formula, kept as the reference for mp_inverse."""
+    if f.mat.size == 0:
+        return np.zeros((f.cols, f.rows), dtype=complex)
+    u, s, vh = np.linalg.svd(f.mat, full_matrices=False)
+    if s[0] <= 0.0:
+        return np.zeros((f.cols, f.rows), dtype=complex)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol * s[0])
+    return (vh.conj().T * inv) @ u.conj().T
+
+
+def loop_gap(isometry, u):
+    """I - A for the leading u x u loop block A of an isometry."""
+    return Operator(np.eye(u) - isometry.mat[:u, :u])
+
+
+def rotated_theta_gap(theta):
+    """I - A for the loop block of the theta family: A is diag(cos theta,
+    -1/2) turned by a fixed rotation, so sigma_min / sigma_max of I - A
+    is about theta^2 / 3 and I - A is not diagonal."""
+    c, s = np.cos(0.6), np.sin(0.6)
+    q = np.array([[c, -s], [s, c]])
+    return Operator(np.eye(2) - q @ np.diag([np.cos(theta), -0.5]) @ q.T)
+
+
+@pytest.mark.parametrize("side", [1, 2, 5, 12, 512])
+def test_mp_inverse_fast_path_matches_svd_on_haar_loop_blocks(side):
+    for seed in range(3 if side < 512 else 1):
+        f = loop_gap(random_isometry(2 * side, side, 100 * side + seed), side)
+        out = mp_inverse(f).mat
+        assert np.array_equal(out, np.linalg.inv(f.mat))  # the fast path ran
+        assert np.max(np.abs(out - svd_inverse(f))) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-4, 5e-5, 2e-5, 1.5e-5, 1e-5])
+def test_mp_inverse_keeps_the_svd_rank_decision_near_the_cutoff(theta):
+    f = rotated_theta_gap(theta)
+    s = np.linalg.svd(f.mat, compute_uv=False)
+    out = mp_inverse(f).mat
+    assert np.linalg.matrix_rank(out, tol=1e-3) == np.count_nonzero(s > RANK_TOL * s[0])
+    if s[-1] < 2 * RANK_TOL * s[0]:
+        # kappa_hat >= kappa_2 > 1 / (2 tol): the certificate must refuse
+        assert np.array_equal(out, svd_inverse(f))
+
+
+def test_mp_inverse_exactly_singular_and_non_square_inputs_use_svd():
+    rng = np.random.default_rng(11)
+    cases = [zeros(3, 3), zeros(0, 0), zeros(0, 4), zeros(3, 2),
+             Operator([[1, 1], [1, 1]]),  # no zero row; LU hits a zero pivot
+             rand_op(rng, 3, 5), rand_op(rng, 6, 2)]
+    for i in range(20):
+        # loop block identity(r) (+) W, as in the kernel census
+        r, u2 = int(rng.integers(1, 3)), int(rng.integers(0, 4))
+        k = int(rng.integers(1, 5))
+        kernel_map = dsum(identity(r), random_isometry(u2 + k, u2 + k, 300 + i))
+        cases.append(loop_gap(kernel_map, r + u2))
+    for f in cases:
+        assert np.array_equal(mp_inverse(f).mat, svd_inverse(f))
 
 
 # ----------------------------------------------------------- defect checks

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qta.linalg import (
+    RANK_TOL,
     IsometryError,
     Operator,
     ShapeError,
@@ -132,6 +133,29 @@ def test_schur_core_identity_when_invertible():
     assert checked >= 40
 
 
+def theta_blockmap(theta):
+    """Real orthogonal 4x4 map, u = k = l = 2: a rotation by theta between
+    loop and interface and one by 2 pi / 3, the loop turned by a fixed
+    rotation.  I - A has sigma_min / sigma_max about theta^2 / 3, and the
+    exact feedback is -I."""
+    c, s, r = np.cos(theta), np.sin(theta), np.sqrt(3) / 2
+    v = np.array([[c, 0, -s, 0], [0, -0.5, 0, -r], [s, 0, c, 0], [0, r, 0, -0.5]])
+    turn = np.eye(4)
+    turn[:2, :2] = [[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]]
+    return BlockMap(Operator(turn @ v @ turn.T), 2, 2, 2)
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-4, 5e-5, 2e-5, 1.5e-5, 1e-5])
+def test_schur_theta_family_flips_sign_at_the_rank_cutoff(theta):
+    # the loop direction with eigenvalue cos(theta) is inverted while
+    # theta^2 / 3 > RANK_TOL (output -1) and decouples below it (output
+    # cos(theta), about +1); between 2e-5 and 1.5e-5 the output flips
+    out = schur_feedback(theta_blockmap(theta)).mat
+    expected = -1.0 if theta ** 2 / 3 > RANK_TOL else 1.0
+    assert abs(out[0, 0] - expected) <= 1e-5
+    assert abs(out[1, 1] + 1.0) <= 1e-5
+
+
 def test_degenerate_witness_nested_and_joint():
     op = Operator([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     inner = schur_feedback(BlockMap(op, 1, 2, 2))
@@ -203,6 +227,15 @@ def test_kleene_cesaro_agrees_on_converging_instance():
     assert report.converged
     assert report.mode == "cesaro"
     assert op_distance(out, schur_feedback(m)) <= 1e-3
+
+
+def test_kleene_gates_input_at_isometry_tol_not_at_its_stopping_tol():
+    # input defect 4.4e-16: above the stopping tol, far below ISOMETRY_TOL
+    m = BlockMap(random_isometry(6, 4, 3), 2, 2, 4)
+    assert isometry_defect(m.op) > 1e-16
+    out, report = kleene_feedback(m, tol=1e-16)
+    assert report.converged
+    assert op_distance(out, schur_feedback(m)) <= 1e-14
 
 
 def test_kleene_rejects_unknown_mode():
