@@ -21,11 +21,12 @@ from qta.axioms import (  # noqa: E402
 
 
 def main(argv=None):
+    defaults = CheckConfig()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--instances", type=int, default=200)
-    parser.add_argument("--max-dim", type=int, default=6)
-    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--instances", type=int, default=defaults.instances)
+    parser.add_argument("--max-dim", type=int, default=defaults.max_dim)
+    parser.add_argument("--tol", type=float, default=defaults.tolerance)
     parser.add_argument("--laws", nargs="+", choices=LAW_GROUPS,
                         default=list(LAW_GROUPS))
     parser.add_argument("--out", help="also write the JSONL report here")

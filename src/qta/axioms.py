@@ -59,7 +59,6 @@ from .trace import (
     schur_feedback,
 )
 from .dqta import (
-    COMPOSITE_TOL,
     cascade,
     dagger_dqta,
     feedback_dqta,
@@ -481,7 +480,7 @@ def _ev_dagger_automata(cfg):
         k = int(rng.integers(2, cap + 1))
         u = int(rng.integers(1, k))
         t = make_unitary_dqta(h, k, random_isometry(h * k, h * k, rng))
-        lhs = dagger_dqta(feedback_dqta(t, u), tol=COMPOSITE_TOL)
+        lhs = dagger_dqta(feedback_dqta(t, u))
         rhs = feedback_dqta(dagger_dqta(t), u)
         return op_distance(lhs.tau, rhs.tau)
     return ev
@@ -674,7 +673,7 @@ def _ev_functor_feedback(cfg):
         k = int(rng.integers(2, 4))
         u = int(rng.integers(1, k))
         t = make_unitary_dqta(h, k, random_isometry(h * k, h * k, rng))
-        lhs = functor_image(feedback_dqta(t, u), tol=COMPOSITE_TOL)
+        lhs = functor_image(feedback_dqta(t, u))
         rhs = canonical_trace(functor_image(t), u)
         return _pair_distance(lhs, rhs)
     return ev

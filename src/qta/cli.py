@@ -42,7 +42,6 @@ from .axioms import (
     suite_passed,
 )
 from .dqta import (
-    COMPOSITE_TOL,
     Dqta,
     UnitaryDqta,
     cascade,
@@ -53,14 +52,13 @@ from .dqta import (
 )
 from .intcat import Qta, as_int0, bidirectionalize, make_qta, name_of
 from .linalg import (
+    ISOMETRY_TOL,
     IsometryError,
     Operator,
     isometry_defect,
     summand_index,
     unitary_defect,
 )
-
-NORM_TOL = 1e-9
 
 DIRECTIONS = ("L", "R")
 
@@ -197,13 +195,17 @@ def parse_automaton(path):
 
 
 def write_automaton(value, path, labels=None):
+    """Write one automaton file, after the check the loader makes, so that
+    every file written can be read back."""
     if isinstance(value, Qta):
+        defect = unitary_defect(value.tau)
         record = {"kind": "qta", "h": value.h, "k": value.n,
                   "matrix": _matrix_to_entries(value.tau)}
         if labels is not None:
             record["labels"] = list(
                 _check_label_list(list(labels), value.n, "interface", path))
     elif isinstance(value, Dqta):
+        defect = isometry_defect(value.tau)
         record = {"kind": "dqta", "h": value.h, "k": value.k, "l": value.l,
                   "matrix": _matrix_to_entries(value.tau)}
         if labels is not None:
@@ -214,6 +216,9 @@ def write_automaton(value, path, labels=None):
                     list(labels["output"]), value.l, "output", path))}
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")
+    if defect > ISOMETRY_TOL:
+        raise IsometryError(f"{path}: refusing to write a transition the "
+                            "loader would reject", defect)
     with open(path, "w") as fh:
         # json.dumps encodes in C in one pass; json.dump streams through
         # the pure-Python encoder, several times slower on large matrices
@@ -310,23 +315,22 @@ def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
     # listed with the internal pair leading on both sides
     in_order = [2, 1, 0, 3]
     out_order = [0, 3, 2, 1] if mirror else [1, 2, 0, 3]
-    chain = cell
+    chain = UnitaryDqta(cell.h, cell.k, cell.l, cell.tau)
     for _ in range(n - 1):
         x = turing_tensor(chain, cell)
         rows = summand_index(x.h, [s] * 4, out_order)
         cols = summand_index(x.h, [s] * 4, in_order)
         routed = Operator(x.tau.mat[np.ix_(rows, cols)])
-        chain = feedback_dqta(
-            make_dqta(x.h, x.k, x.l, routed, tol=COMPOSITE_TOL), 2 * s)
+        chain = feedback_dqta(UnitaryDqta(x.h, x.k, x.l, routed), 2 * s)
     if ring:
         # default wiring wraps right outputs around to left inputs, which
         # needs the half swap; mirrored wiring closes up positionally
         if not mirror:
             rows = summand_index(chain.h, [s, s], [1, 0])
-            chain = make_dqta(chain.h, chain.k, chain.l,
-                              Operator(chain.tau.mat[rows]), tol=COMPOSITE_TOL)
+            chain = UnitaryDqta(chain.h, chain.k, chain.l,
+                                Operator(chain.tau.mat[rows]))
         chain = feedback_dqta(chain, 2 * s)
-    return make_unitary_dqta(chain.h, chain.k, chain.tau, tol=COMPOSITE_TOL)
+    return chain
 
 
 # -------------------------------------------------------------- simulation
@@ -365,7 +369,7 @@ def simulate(q, initial, steps) -> SimulationTrace:
             raise ValueError(f"initial state must have length {h * n}, "
                              f"got {v.shape[0]}")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > NORM_TOL:
+        if abs(norm - 1.0) > ISOMETRY_TOL:
             raise ValueError(f"initial state norm {norm:.12g} is not 1")
     masses = []
     norms = []
@@ -381,13 +385,6 @@ def simulate(q, initial, steps) -> SimulationTrace:
 
 # ------------------------------------------------------------------ commands
 
-def _dqta_from(path):
-    value = parse_automaton(path)
-    if not isinstance(value, Dqta):
-        raise ValueError(f"{path}: expected a dqta record, got qta")
-    return value
-
-
 def _print_written(value, path):
     if isinstance(value, Qta):
         print(f"wrote {path}: qta h={value.h} k={value.n}")
@@ -396,8 +393,7 @@ def _print_written(value, path):
 
 
 def _cmd_validate(args):
-    record = load_record(args.file)
-    value = _build_value(record)
+    value = parse_automaton(args.file)
     if isinstance(value, Qta):
         defect = unitary_defect(value.tau)
         print(f"{args.file}: qta h={value.h} k={value.n} "
@@ -625,11 +621,12 @@ def _build_parser():
                    help="interface summand the control starts on")
     p.set_defaults(func=_cmd_simulate)
 
+    defaults = CheckConfig()
     p = sub.add_parser("axioms", help="run the law suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--max-dim", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--instances", type=int, default=defaults.instances)
+    p.add_argument("--max-dim", type=int, default=defaults.max_dim)
+    p.add_argument("--tol", type=float, default=defaults.tolerance)
     p.add_argument("--laws", nargs="+", choices=LAW_GROUPS,
                    help="law groups to run (default: all)")
     p.set_defaults(func=_cmd_axioms)

@@ -18,6 +18,14 @@ Matrix conventions follow linalg: the state factor H is always the outer
 order.  Equality of automata is only ever checked against an explicit
 state-space witness (iso_witness_check); no isomorphism search happens
 anywhere.
+
+Validation policy: a transition is checked once, where it enters -- in
+make_dqta, make_unitary_dqta and intcat.make_qta, on file load, and in
+dagger_dqta when handed a plain Dqta -- always at linalg.ISOMETRY_TOL.
+Feedback sends isometries to isometries and every other operation only
+routes or multiplies them, so operations here and in intcat build their
+results unchecked, returning a UnitaryDqta when every operand is one.
+The command line checks each automaton again before writing its file.
 """
 
 from dataclasses import dataclass
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    ISOMETRY_TOL,
     IsometryError,
     Operator,
     ShapeError,
@@ -37,11 +46,7 @@ from .linalg import (
     summand_index,
     unitary_defect,
 )
-from .trace import BlockMap, schur_feedback
-
-# isometry gate at construction / after composite operations
-DQTA_TOL = 1e-9
-COMPOSITE_TOL = 1e-8
+from .trace import BlockMap, closed_form
 
 
 @dataclass(frozen=True)
@@ -74,21 +79,25 @@ class UnitaryDqta(Dqta):
             raise ShapeError(f"unitary automaton needs k = l, got {self.k}, {self.l}")
 
 
-def make_dqta(h: int, k: int, l: int, tau: Operator, tol: float = DQTA_TOL) -> Dqta:
+def _kind(*ts):
+    """UnitaryDqta when every operand is one, else Dqta."""
+    return UnitaryDqta if all(isinstance(t, UnitaryDqta) for t in ts) else Dqta
+
+
+def make_dqta(h: int, k: int, l: int, tau: Operator) -> Dqta:
     """Validated construction; rejects non-isometric transitions."""
     t = Dqta(h, k, l, tau)
     defect = isometry_defect(tau)
-    if defect > tol:
+    if defect > ISOMETRY_TOL:
         raise IsometryError("transition must be an isometry", defect)
     return t
 
 
-def make_unitary_dqta(h: int, k: int, tau: Operator,
-                      tol: float = DQTA_TOL) -> UnitaryDqta:
+def make_unitary_dqta(h: int, k: int, tau: Operator) -> UnitaryDqta:
     """Validated construction of an automaton with unitary transition."""
     t = UnitaryDqta(h, k, k, tau)
     defect = unitary_defect(tau)
-    if defect > tol:
+    if defect > ISOMETRY_TOL:
         raise IsometryError("transition must be unitary", defect)
     return t
 
@@ -107,7 +116,7 @@ def cascade(t1: Dqta, t2: Dqta) -> Dqta:
                     t1.tau.mat.reshape(h1, t1.l, h1, t1.k),
                     t2.tau.mat.reshape(h2, t2.l, h2, t2.k))
     tau = Operator(tau.reshape(h1 * h2 * t2.l, h1 * h2 * t1.k))
-    return make_dqta(h1 * h2, t1.k, t2.l, tau, tol=COMPOSITE_TOL)
+    return _kind(t1, t2)(h1 * h2, t1.k, t2.l, tau)
 
 
 def turing_tensor(t1: Dqta, t2: Dqta) -> Dqta:
@@ -125,7 +134,7 @@ def turing_tensor(t1: Dqta, t2: Dqta) -> Dqta:
     a = np.arange(h1)
     tau[a, :, t1.l:, a, :, t1.k:] = t2.tau.mat.reshape(h2, t2.l, h2, t2.k)
     tau = Operator(tau.reshape(h1 * h2 * l, h1 * h2 * k))
-    return make_dqta(h1 * h2, k, l, tau, tol=COMPOSITE_TOL)
+    return _kind(t1, t2)(h1 * h2, k, l, tau)
 
 
 def feedback_dqta(t: Dqta, u: int) -> Dqta:
@@ -145,8 +154,7 @@ def feedback_dqta(t: Dqta, u: int) -> Dqta:
 
     looped = Operator(t.tau.mat[np.ix_(loop_first(t.l), loop_first(t.k))])
     m = BlockMap(looped, t.h * u, t.h * (t.k - u), t.h * (t.l - u))
-    closed = schur_feedback(m, tol=COMPOSITE_TOL)
-    return make_dqta(t.h, t.k - u, t.l - u, closed, tol=COMPOSITE_TOL)
+    return _kind(t)(t.h, t.k - u, t.l - u, closed_form(m))
 
 
 def unit_automata(k: int, l: int):
@@ -155,9 +163,8 @@ def unit_automata(k: int, l: int):
     Returns (identity, symmetry); both have a one-dimensional state
     space, so cascading with them never changes matrix entries.
     """
-    ident = make_unitary_dqta(1, k, identity(k))
-    sym = make_unitary_dqta(1, k + l, sum_swap(k, l))
-    return ident, sym
+    return (UnitaryDqta(1, k, k, identity(k)),
+            UnitaryDqta(1, k + l, k + l, sum_swap(k, l)))
 
 
 def witnessed_distance(t1: Dqta, t2: Dqta, sigma: Operator) -> float:
@@ -182,22 +189,24 @@ def witnessed_distance(t1: Dqta, t2: Dqta, sigma: Operator) -> float:
     return max(unitary_defect(sigma), op_distance(Operator(moved), t2.tau))
 
 
-def iso_witness_check(t1: Dqta, t2: Dqta, sigma: Operator,
-                      tol: float = COMPOSITE_TOL) -> bool:
-    """Does sigma witness t1 and t2 as the same machine within tol?"""
-    return witnessed_distance(t1, t2, sigma) <= tol
+def iso_witness_check(t1: Dqta, t2: Dqta, sigma: Operator) -> bool:
+    """Does sigma witness t1 and t2 as the same machine within
+    ISOMETRY_TOL?"""
+    return witnessed_distance(t1, t2, sigma) <= ISOMETRY_TOL
 
 
-def dagger_dqta(t: Dqta, tol: float = DQTA_TOL) -> UnitaryDqta:
+def dagger_dqta(t: Dqta) -> UnitaryDqta:
     """Run a unitary automaton backwards: adjoint transition, L -> K.
 
     Involutive on the nose: dagger(dagger(t)) has exactly t's matrix.
-    The adjoint has the same unitary defect as t.tau, so one check
-    covers both.
+    A UnitaryDqta is trusted; a plain Dqta was only checked as an
+    isometry, so its unitary defect is checked here.  The adjoint has
+    the same unitary defect as t.tau, so one check covers both.
     """
     if t.k != t.l:
         raise ShapeError(f"dagger needs k = l, got {t.k}, {t.l}")
-    defect = unitary_defect(t.tau)
-    if defect > tol:
-        raise IsometryError("dagger needs a unitary transition", defect)
+    if not isinstance(t, UnitaryDqta):
+        defect = unitary_defect(t.tau)
+        if defect > ISOMETRY_TOL:
+            raise IsometryError("dagger needs a unitary transition", defect)
     return UnitaryDqta(t.h, t.l, t.l, adjoint(t.tau))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    ISOMETRY_TOL,
     IsometryError,
     Operator,
     ShapeError,
@@ -35,14 +36,10 @@ from .linalg import (
     unitary_defect,
 )
 from .dqta import (
-    COMPOSITE_TOL,
-    DQTA_TOL,
     Dqta,
     UnitaryDqta,
     dagger_dqta,
     feedback_dqta,
-    make_dqta,
-    make_unitary_dqta,
     turing_tensor,
 )
 
@@ -64,11 +61,11 @@ class Qta:
                 f"square of size {self.h * self.n}")
 
 
-def make_qta(h: int, n: int, tau: Operator, tol: float = DQTA_TOL) -> Qta:
+def make_qta(h: int, n: int, tau: Operator) -> Qta:
     """Validated construction; rejects non-unitary transitions."""
     q = Qta(h, n, tau)
     defect = unitary_defect(tau)
-    if defect > tol:
+    if defect > ISOMETRY_TOL:
         raise IsometryError("transition must be unitary", defect)
     return q
 
@@ -101,13 +98,13 @@ def _reorder(t, in_dims, in_order, out_dims, out_order) -> Operator:
 
 
 def int_identity(k: int) -> Int0Morphism:
-    return Int0Morphism(k, k, make_unitary_dqta(1, 2 * k, identity(2 * k)))
+    return Int0Morphism(k, k, UnitaryDqta(1, 2 * k, 2 * k, identity(2 * k)))
 
 
 def int_symmetry(k: int, l: int) -> Int0Morphism:
     """The braiding (K,L) -> (L,K): swap forward copies, swap return copies."""
     tau = dsum(sum_swap(k, l), sum_swap(l, k))
-    return Int0Morphism(k + l, l + k, make_unitary_dqta(1, 2 * (k + l), tau))
+    return Int0Morphism(k + l, l + k, UnitaryDqta(1, tau.rows, tau.rows, tau))
 
 
 def int_compose(f: Int0Morphism, g: Int0Morphism) -> Int0Morphism:
@@ -124,10 +121,8 @@ def int_compose(f: Int0Morphism, g: Int0Morphism) -> Int0Morphism:
     # [Lret_f, Lin_g, K, Mret], output [Lfwd_f, Kret, Mfwd, Lret_g] becomes
     # [Lret_g, Lfwd_f, Mfwd, Kret]
     routed = _reorder(x, [k, l, l, m], [1, 2, 0, 3], [l, k, m, l], [3, 0, 2, 1])
-    y = make_dqta(x.h, x.k, x.l, routed, tol=COMPOSITE_TOL)
-    closed = feedback_dqta(y, 2 * l)
-    carrier = make_unitary_dqta(closed.h, k + m, closed.tau, tol=COMPOSITE_TOL)
-    return Int0Morphism(k, m, carrier)
+    closed = feedback_dqta(UnitaryDqta(x.h, x.k, x.l, routed), 2 * l)
+    return Int0Morphism(k, m, closed)
 
 
 def int_tensor(f: Int0Morphism, g: Int0Morphism) -> Int0Morphism:
@@ -141,8 +136,7 @@ def int_tensor(f: Int0Morphism, g: Int0Morphism) -> Int0Morphism:
     # x input summands [K, L, K', L'], output [L, K, L', K']
     routed = _reorder(x, [k, l, kp, lp], [0, 2, 1, 3],
                       [l, k, lp, kp], [0, 2, 1, 3])
-    carrier = make_unitary_dqta(x.h, k + kp + l + lp, routed, tol=COMPOSITE_TOL)
-    return Int0Morphism(k + kp, l + lp, carrier)
+    return Int0Morphism(k + kp, l + lp, UnitaryDqta(x.h, x.k, x.k, routed))
 
 
 def int_dagger(f: Int0Morphism) -> Int0Morphism:
@@ -153,14 +147,13 @@ def int_dagger(f: Int0Morphism) -> Int0Morphism:
     """
     k, l = f.src, f.dst
     tau = _reorder(f.carrier, [k, l], [1, 0], [l, k], [1, 0])
-    carrier = make_unitary_dqta(f.carrier.h, l + k, tau, tol=COMPOSITE_TOL)
-    return Int0Morphism(l, k, carrier)
+    return Int0Morphism(l, k, UnitaryDqta(f.carrier.h, l + k, l + k, tau))
 
 
 def int_units(x: int):
     """Unit (rank 0 -> 2x) and counit (rank 2x -> 0), both carried by the
     interface swap; returns (d, e)."""
-    c = make_unitary_dqta(1, 2 * x, sum_swap(x, x))
+    c = UnitaryDqta(1, 2 * x, 2 * x, sum_swap(x, x))
     return Int0Morphism(0, 2 * x, c), Int0Morphism(2 * x, 0, c)
 
 
@@ -188,7 +181,7 @@ def name_of(f: Int0Morphism) -> Qta:
     """
     h, n = f.carrier.h, f.src + f.dst
     tau = _reorder(f.carrier, [n], [0], [f.dst, f.src], [1, 0])
-    return make_qta(h, n, tau, tol=COMPOSITE_TOL)
+    return Qta(h, n, tau)
 
 
 def unname(q: Qta, src: int, dst: int) -> Int0Morphism:
@@ -196,8 +189,7 @@ def unname(q: Qta, src: int, dst: int) -> Int0Morphism:
     if src < 0 or dst < 0 or src + dst != q.n:
         raise ShapeError(f"rank split {src} + {dst} != {q.n}")
     tau = _reorder(q, [q.n], [0], [src, dst], [1, 0])
-    carrier = make_unitary_dqta(q.h, q.n, tau, tol=COMPOSITE_TOL)
-    return Int0Morphism(src, dst, carrier)
+    return Int0Morphism(src, dst, UnitaryDqta(q.h, q.n, q.n, tau))
 
 
 def as_int0(t: Dqta, src: int) -> Int0Morphism:
@@ -209,21 +201,19 @@ def as_int0(t: Dqta, src: int) -> Int0Morphism:
         raise ShapeError(f"forward rank {src} exceeds interface {t.k}")
     dst = t.k - src
     tau = _reorder(t, [t.k], [0], [src, dst], [1, 0])
-    carrier = make_unitary_dqta(t.h, t.k, tau, tol=COMPOSITE_TOL)
-    return Int0Morphism(src, dst, carrier)
+    return Int0Morphism(src, dst, UnitaryDqta(t.h, t.k, t.k, tau))
 
 
-def functor_image(t: Dqta, tol: float = DQTA_TOL) -> Int0Morphism:
+def functor_image(t: Dqta) -> Int0Morphism:
     """The forward/backward pair t (+) dagger(t) as a rank k -> l morphism."""
-    x = turing_tensor(t, dagger_dqta(t, tol=tol))
-    carrier = make_unitary_dqta(x.h, t.k + t.l, x.tau, tol=COMPOSITE_TOL)
-    return Int0Morphism(t.k, t.l, carrier)
+    x = turing_tensor(t, dagger_dqta(t))
+    return Int0Morphism(t.k, t.l, UnitaryDqta(x.h, x.k, x.l, x.tau))
 
 
-def bidirectionalize(t: Dqta, tol: float = DQTA_TOL) -> Qta:
+def bidirectionalize(t: Dqta) -> Qta:
     """Undirected automaton of a directed one: name of t (+) dagger(t).
 
     The rank is t.k + t.l and the state space squares; distinct inputs
     stay distinct.
     """
-    return name_of(functor_image(t, tol=tol))
+    return name_of(functor_image(t))

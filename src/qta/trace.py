@@ -5,6 +5,7 @@ Three semantics for closing the U loop of an isometric block operator:
 * ``schur_feedback``: the closed form D + B (I - A)^+ C, with the
   Moore-Penrose inverse supplying the Schur-style complement of (I - A).
   This is the reference implementation; it sends isometries to isometries.
+  ``closed_form`` is the same formula without the input check.
 * ``kleene_feedback``: the limit of D + B (I + A + ... + A^n) C, reported
   with an explicit convergence witness.  Divergence is reported, never
   silently averaged; Cesaro averaging of the partial sums is opt-in.
@@ -101,6 +102,15 @@ def _require_isometry(m: BlockMap, tol: float):
         raise IsometryError("feedback input must be an isometry", defect)
 
 
+def closed_form(m: BlockMap) -> Operator:
+    """D + B (I - A)^+ C without an input check: the caller vouches that
+    m is an isometry, as the automaton algebra does for its transitions."""
+    a, b, c, d = split_blocks(m)
+    n = np.eye(m.u) - a.mat
+    pinv = mp_inverse(Operator(n), RANK_TOL)
+    return Operator(d.mat + b.mat @ pinv.mat @ c.mat)
+
+
 def schur_feedback(m: BlockMap, tol: float = ISOMETRY_TOL) -> Operator:
     """Close the U loop: D + B (I - A)^+ C.
 
@@ -108,10 +118,7 @@ def schur_feedback(m: BlockMap, tol: float = ISOMETRY_TOL) -> Operator:
     isometry K -> L with defect at most about 100 * tol.
     """
     _require_isometry(m, tol)
-    a, b, c, d = split_blocks(m)
-    n = np.eye(m.u) - a.mat
-    pinv = mp_inverse(Operator(n), RANK_TOL)
-    return Operator(d.mat + b.mat @ pinv.mat @ c.mat)
+    return closed_form(m)
 
 
 def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10,

@@ -17,7 +17,7 @@ from qta.cli import (
     simulate,
     write_automaton,
 )
-from qta.dqta import Dqta, UnitaryDqta, make_dqta, unit_automata
+from qta.dqta import Dqta, UnitaryDqta, make_dqta, make_unitary_dqta, unit_automata
 from qta.intcat import Qta, as_int0, bidirectionalize, int_compose, make_qta, name_of
 from qta.linalg import (
     IsometryError,
@@ -30,6 +30,7 @@ from qta.linalg import (
     sum_swap,
     unitary_defect,
 )
+from test_trace import theta_blockmap
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -366,6 +367,21 @@ def test_feedback_yanking_via_files(tmp_path, capsys):
     value = parse_automaton(out)
     assert (value.h, value.k, value.l) == (1, 1, 1)
     assert op_distance(value.tau, identity(1)) == 0.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("theta", [1e-3, 3e-4, 2e-4, 1e-4, 5e-5])
+def test_feedback_writes_only_files_validate_accepts(tmp_path, capsys, theta):
+    # the closed form loses up to about eps / theta^2 on this valid input;
+    # a result the loader would reject must not be written
+    src, out = str(tmp_path / "theta.json"), str(tmp_path / "closed.json")
+    write_automaton(make_unitary_dqta(1, 4, theta_blockmap(theta).op), src)
+    code = run_command(["feedback", src, "--u", "2", "-o", out])
+    if code == 0:
+        assert run_command(["validate", out]) == 0
+    else:
+        assert code == 1 and "defect" in capsys.readouterr().err
+        assert not os.path.exists(out)
     capsys.readouterr()
 
 
