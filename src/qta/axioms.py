@@ -712,7 +712,7 @@ def check_int0_laws(cfg: CheckConfig):
 
 # ------------------------------------------------------------- the star laws
 
-def conway_counterexample() -> LawReport:
+def conway_counterexample(cfg: CheckConfig = CheckConfig()) -> LawReport:
     """Probe the two star identities; they fail at a = b = 1 by design.
 
     Probes: (1, 1) violates both identities with gap exactly 1; (0, 0.7)
@@ -729,7 +729,7 @@ def conway_counterexample() -> LawReport:
         if v > max_v:
             max_v, worst = v, i
     return LawReport("conway-star-identities", len(probes), float(max_v),
-                     max_v <= 1e-8, worst)
+                     max_v <= cfg.tolerance, worst)
 
 
 # ------------------------------------------------------------ orchestration
@@ -745,7 +745,7 @@ def run_checks(cfg: CheckConfig):
     if set(cfg.law_set) & {"int0-laws", "functor-F"}:
         reports.extend(check_int0_laws(cfg))
     if "conway-counterexample" in cfg.law_set:
-        reports.append(conway_counterexample())
+        reports.append(conway_counterexample(cfg))
     return reports
 
 

@@ -3,10 +3,16 @@
 Automaton files are JSON: {"kind": "dqta"|"qta", "h": .., "k": .., "l": ..,
 "matrix": [[[re, im], ...], ...], "labels": ...} with the matrix row-major
 over the H (x) interface basis (state factor outermost) and every entry a
-two-element [re, im] pair.  A qta record omits "l" and stores its rank in
-"k".  Labels are optional and purely presentational: {"input": [...],
-"output": [...]} for dqta, a single list for qta.  They are validated
-against the interface dims and dropped before any algebra.
+two-element [re, im] pair of JSON numbers.  A qta record omits "l" and
+stores its rank in "k".  Labels are optional and purely presentational:
+{"input": [...], "output": [...]} for dqta, a single list for qta.  They
+are validated against the interface dims and dropped before any algebra.
+
+The reader parses the matrix as one flat list of numbers and proves its
+[[[re, im], ...], ...] bracket structure separately (see _flat_matrix), so
+that json builds no list per entry; the file format is unchanged.  A file
+it cannot prove well formed is parsed whole as nested lists, which also
+raises every loader error.
 
 The cell builder makes one tape cell: state space of alphabet_bits qubits,
 input and output interfaces split as left summands "(L,i)" then right
@@ -28,7 +34,9 @@ Exit codes: 0 success or all laws pass, 1 validation or law failure,
 """
 
 import argparse
+import itertools
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -99,24 +107,101 @@ def _entries_to_matrix(rows, shape, path):
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.shape != (expected_rows, expected_cols, 2):
-        # walk the structure to name the offending row or entry
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != expected_cols:
+    if arr is not None and arr.shape == (expected_rows, expected_cols, 2):
+        # asarray also turns strings, booleans and nulls into floats; JSON
+        # numbers decode to exactly int and float
+        entries = itertools.chain.from_iterable(rows)
+        if set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+            return arr[..., 0] + 1j * arr[..., 1]
+    # walk the structure to name the offending row or entry
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != expected_cols:
+            raise ValueError(
+                f"{path}: matrix row {i} must have {expected_cols} entries")
+        for j, entry in enumerate(row):
+            if (not isinstance(entry, list) or len(entry) != 2
+                    or not all(isinstance(x, (int, float))
+                               and not isinstance(x, bool) for x in entry)):
                 raise ValueError(
-                    f"{path}: matrix row {i} must have {expected_cols} entries")
-            for j, entry in enumerate(row):
-                if (not isinstance(entry, list) or len(entry) != 2
-                        or not all(isinstance(x, (int, float))
-                                   and not isinstance(x, bool) for x in entry)):
-                    raise ValueError(
-                        f"{path}: matrix entry ({i},{j}) must be a [re, im] pair")
-        raise ValueError(f"{path}: malformed matrix")
-    return arr[..., 0] + 1j * arr[..., 1]
+                    f"{path}: matrix entry ({i},{j}) must be a [re, im] pair")
+    raise ValueError(f"{path}: malformed matrix")
 
 
 def _matrix_to_entries(op):
     return np.stack([op.mat.real, op.mat.imag], axis=-1).tolist()
+
+
+_MATRIX_KEY = re.compile(r'"matrix"\s*:\s*\[')
+_MATRIX_END = re.compile(r'\]\s*\]\s*\]')
+# spliced in place of the matrix: a JSON constant reaches parse_constant as
+# its raw text, so no escape sequence can forge it
+_SPLICE = "Infinity"
+_SPLICED = object()
+_NUMBER_CHARS = b"0123456789.eE+-"
+_NUMBERS_TO_MARKS = bytes.maketrans(_NUMBER_CHARS, b"#" * len(_NUMBER_CHARS))
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _split_matrix(text):
+    """(record, matrix text): the record parsed with the text of its
+    top-level "matrix" value cut out, or None.  The cut starts at the first
+    '"matrix": [' and ends at the next ']]]' (whitespace allowed between
+    the brackets); it stands for the value json.loads keeps, the last
+    "matrix" of the top-level object, only when the spliced record's
+    "matrix" is the splice."""
+    key = _MATRIX_KEY.search(text)
+    if key is None or _SPLICE in text:
+        return None
+    start = key.end() - 1
+    end = _MATRIX_END.search(text, start)
+    if end is None:
+        return None
+    try:
+        record = json.loads(
+            text[:start] + _SPLICE + text[end.end():],
+            parse_constant=lambda name: (_SPLICED if name == _SPLICE
+                                         else float(name)))
+    except ValueError:
+        return None
+    if not isinstance(record, dict) or record.get("matrix") is not _SPLICED:
+        return None
+    return record, text[start:end.end()]
+
+
+def _matrix_skeleton(rows, cols):
+    """The text of a rows x cols matrix of [re, im] pairs without its
+    numbers and whitespace."""
+    row = b"[" + b",".join([b"[,]"] * cols) + b"]"
+    return b"[" + b",".join([row] * rows) + b"]"
+
+
+def _flat_matrix(text, rows, cols):
+    """The rows x cols matrix that json.loads(text) would give as nested
+    [re, im] lists, or None when text cannot be shown to be one.
+
+    json parses the numbers as one flat list, with the brackets blanked.
+    That list holds 2*rows*cols numbers, one between each pair of commas,
+    and text with its numbers and whitespace deleted is the exact skeleton;
+    no number follows ']' or precedes '['.  So every number sits in an
+    [re, im] slot, and text is the nested array of those numbers in order.
+    A zero-size matrix never matches: its skeleton does not end in ']]]'.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    marks = raw.translate(_NUMBERS_TO_MARKS, b" \t\n\r")
+    if (b"]#" in marks or b"#[" in marks
+            or marks.translate(None, b"#") != _matrix_skeleton(rows, cols)):
+        return None
+    try:
+        flat = json.loads(b"[" + raw.translate(_BRACKETS_TO_SPACES) + b"]")
+        if len(flat) != 2 * rows * cols:
+            return None
+        arr = np.array(flat, dtype=float).reshape(rows, cols, 2)
+    except (ValueError, OverflowError):
+        return None
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _require_int(record, field, path):
@@ -134,14 +219,8 @@ def _check_label_list(values, n, where, path):
     return tuple(values)
 
 
-def load_record(path) -> AutomatonFile:
-    """Read and structurally validate one automaton file."""
-    try:
-        with open(path) as fh:
-            record = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+def _check_header(record, path):
+    """(kind, h, k, l) of a parsed record, which must have a "matrix"."""
     if not isinstance(record, dict):
         raise ValueError(f"{path}: top level must be an object")
     kind = record.get("kind")
@@ -153,27 +232,67 @@ def load_record(path) -> AutomatonFile:
         raise ValueError(f"{path}: field 'h' must be positive")
     if kind == "dqta":
         l = _require_int(record, "l", path)
-        shape = (h * l, h * k)
     else:
         if "l" in record:
             raise ValueError(f"{path}: qta records store their rank in 'k'; "
                              "field 'l' is not allowed")
         l = k
-        shape = (h * k, h * k)
     if "matrix" not in record:
         raise ValueError(f"{path}: missing field 'matrix'")
-    matrix = _entries_to_matrix(record["matrix"], shape, path)
+    return kind, h, k, l
+
+
+def _check_labels(record, kind, k, l, path):
     labels = record.get("labels")
-    if labels is not None:
-        if kind == "dqta":
-            if not isinstance(labels, dict) or set(labels) != {"input", "output"}:
-                raise ValueError(f"{path}: dqta labels must be an object with "
-                                 "'input' and 'output' lists")
-            labels = {"input": _check_label_list(labels["input"], k, "input", path),
-                      "output": _check_label_list(labels["output"], l, "output", path)}
-        else:
-            labels = _check_label_list(labels, k, "interface", path)
-    return AutomatonFile(kind, h, k, l, matrix, labels)
+    if labels is None:
+        return None
+    if kind == "qta":
+        return _check_label_list(labels, k, "interface", path)
+    if not isinstance(labels, dict) or set(labels) != {"input", "output"}:
+        raise ValueError(f"{path}: dqta labels must be an object with "
+                         "'input' and 'output' lists")
+    return {"input": _check_label_list(labels["input"], k, "input", path),
+            "output": _check_label_list(labels["output"], l, "output", path)}
+
+
+def _load_flat(text, path):
+    """The record, with its matrix read by _flat_matrix, or None."""
+    split = _split_matrix(text)
+    if split is None:
+        return None
+    record, matrix_text = split
+    try:
+        kind, h, k, l = _check_header(record, path)
+    except ValueError:
+        return None
+    matrix = _flat_matrix(matrix_text, h * l, h * k)
+    if matrix is None:
+        return None
+    return AutomatonFile(kind, h, k, l, matrix,
+                         _check_labels(record, kind, k, l, path))
+
+
+def _load_nested(text, path):
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    kind, h, k, l = _check_header(record, path)
+    matrix = _entries_to_matrix(record["matrix"], (h * l, h * k), path)
+    return AutomatonFile(kind, h, k, l, matrix,
+                         _check_labels(record, kind, k, l, path))
+
+
+def load_record(path) -> AutomatonFile:
+    """Read and structurally validate one automaton file.
+
+    Records whose matrix _load_flat can read take that path; every other
+    file, including every malformed one, is parsed whole as nested lists,
+    which raises the errors."""
+    with open(path) as fh:
+        text = fh.read()
+    return _load_flat(text, path) or _load_nested(text, path)
 
 
 def _build_value(record: AutomatonFile):

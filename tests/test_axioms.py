@@ -117,6 +117,14 @@ def test_counterexample_fails_by_exactly_one():
     assert report.instances_run > 0
 
 
+def test_counterexample_is_judged_at_the_configured_tolerance():
+    assert conway_counterexample(CheckConfig(tolerance=2.0)).passed
+    assert not conway_counterexample(CheckConfig(tolerance=0.5)).passed
+    [report] = run_checks(CheckConfig(tolerance=2.0,
+                                      law_set=("conway-counterexample",)))
+    assert report.passed and report.max_violation == 1.0
+
+
 def test_star_identities_hold_away_from_the_pole():
     a, b = 0.0, 0.7
     assert scalar_star(a + b) == pytest.approx(

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from qta import cli
 from qta.cli import (
     AutomatonFile,
     build_cell,
@@ -154,6 +155,156 @@ def test_shipped_examples_regenerate_byte_for_byte(tmp_path, capsys):
     for name in shipped:
         with open(os.path.join(DATA_DIR, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+@pytest.mark.parametrize("entries", [[[["1", "0"]]], [[[True, False]]],
+                                     [[[1.0, None]]], [[[0, "0"]]]],
+                         ids=["strings", "booleans", "null", "mixed"])
+def test_non_numeric_matrix_entries_are_rejected(tmp_path, capsys, entries):
+    path = str(tmp_path / "t.json")
+    with open(path, "w") as fh:
+        json.dump({"kind": "dqta", "h": 1, "k": 1, "l": 1,
+                   "matrix": entries}, fh)
+    with pytest.raises(ValueError, match=r"entry \(0,0\) must be a \[re, im\]"):
+        load_record(path)
+    assert run_command(["validate", path]) == 1
+    rule = str(tmp_path / "rule.json")
+    with open(rule, "w") as fh:
+        json.dump({"matrix": [entries[0] + [[0, 0]], [[0, 0], [1, 0]]]}, fh)
+    assert run_command(["cell", "--states", "1", "--bits", "0", "--rule",
+                        rule, "-o", str(tmp_path / "cell.json")]) == 1
+    assert "entry (0,0) must be a [re, im] pair" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ loader paths
+
+def json_decode(path):
+    """The matrix and labels json.load + np.asarray give for one file."""
+    with open(path) as fh:
+        record = json.load(fh)
+    arr = np.asarray(record["matrix"], dtype=float)
+    labels = record.get("labels")
+    if isinstance(labels, dict):
+        labels = {key: tuple(value) for key, value in labels.items()}
+    elif labels is not None:
+        labels = tuple(labels)
+    return arr[..., 0] + 1j * arr[..., 1], labels
+
+
+def assert_loads_as_json(path, flat):
+    """load_record gives json's matrix bit for bit; flat says whether the
+    flat-list reader may read the file."""
+    record = load_record(path)
+    matrix, labels = json_decode(path)
+    assert record.matrix.dtype == matrix.dtype
+    assert record.matrix.shape == matrix.shape
+    assert record.matrix.tobytes() == matrix.tobytes()
+    assert record.labels == labels
+    with open(path) as fh:
+        assert (cli._load_flat(fh.read(), path) is not None) == flat
+
+
+def write_text(tmp_path, text, name="t.json"):
+    path = str(tmp_path / name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+def test_shipped_examples_load_as_json_does():
+    files = sorted(glob.glob(os.path.join(DATA_DIR, "*.json")))
+    assert len(files) == 5
+    for path in files:
+        assert_loads_as_json(path, flat=True)
+
+
+def test_reformatted_records_load_as_json_does(tmp_path):
+    with open(os.path.join(DATA_DIR, "cell_2s1b.json")) as fh:
+        record = json.load(fh)
+    matrix_first = {"matrix": record["matrix"],
+                    **{k: v for k, v in record.items() if k != "matrix"}}
+    matrix_last = {**{k: v for k, v in record.items() if k != "matrix"},
+                   "matrix": record["matrix"]}
+    for i, (rec, indent) in enumerate([(record, 2), (matrix_first, None),
+                                       (matrix_last, None),
+                                       (matrix_last, "\t")]):
+        path = write_text(tmp_path, json.dumps(rec, indent=indent), f"{i}.json")
+        assert_loads_as_json(path, flat=True)
+    # ints, exponents, signed zeros and an int beyond 64 bits
+    text = ('{"kind": "qta", "h": 1, "k": 2, "matrix": '
+            '[[[1E+0, -0.0], [0, 0]], [[-0, 12345678901234567890123], '
+            '[ 1e-3 ,-2.5E-1 ]]]}')
+    assert_loads_as_json(write_text(tmp_path, text), flat=True)
+
+
+MATRIX = '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]'
+SWAPPED = '[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]'
+LABELS = '"labels": {"input": ["a", "b"], "output": ["c", "d"]}'
+
+
+@pytest.mark.parametrize("text, flat", [
+    ('{"kind": "dqta", "x\\"matrix": ' + SWAPPED + ', "h": 1, "k": 2, '
+     '"l": 2, "matrix": ' + MATRIX + '}', False),
+    ('{"notes": {"matrix": ' + SWAPPED + '}, "kind": "dqta", "h": 1, '
+     '"k": 2, "l": 2, "matrix": ' + MATRIX + '}', False),
+    ('{"kind": "dqta", "h": 1, "k": 2, "l": 2, "matrix": ' + SWAPPED + ', '
+     + LABELS + ', "matrix": ' + MATRIX + '}', False),
+    ('{"kind": "dqta", "h": 1, "k": 2, "l": 2, "matrix": ' + MATRIX + ', '
+     '"labels": {"input": ["Infinity", "\\"matrix\\": [[["], '
+     '"output": ["]]]", "c"]}}', False),
+    ('{"kind": "dqta", "h": 1, "k": 2, "l": 2, "matrix": ' + MATRIX + ', '
+     '"labels": {"input": ["\\u0049nfinity", "b"], "output": ["c", "d"]}}',
+     True),
+], ids=["escaped-key", "nested-key", "duplicate-key", "placeholder-label",
+        "escaped-placeholder-label"])
+def test_unusual_layouts_load_as_json_does(tmp_path, text, flat):
+    assert_loads_as_json(write_text(tmp_path, text), flat)
+
+
+@pytest.mark.parametrize("k, l, matrix", [(0, 0, "[]"), (1, 0, "[]"),
+                                           (0, 1, "[[]]"), (0, 3, "[[],[],[]]")])
+def test_zero_size_matrices_take_the_nested_reader(tmp_path, k, l, matrix):
+    text = ('{"kind": "dqta", "h": 1, "k": %d, "l": %d, "matrix": %s}'
+            % (k, l, matrix))
+    path = write_text(tmp_path, text)
+    assert cli._load_flat(text, path) is None
+    record = load_record(path)
+    assert record.matrix.shape == (l, k)
+    assert record.matrix.dtype == complex
+
+
+def test_matrix_key_inside_labels_is_a_label_error(tmp_path):
+    text = ('{"kind": "dqta", "h": 1, "k": 2, "l": 2, "labels": {"matrix": '
+            + SWAPPED + ', "input": ["a", "b"], "output": ["c", "d"]}, '
+            '"matrix": ' + MATRIX + '}')
+    with pytest.raises(ValueError, match="dqta labels must be an object"):
+        load_record(write_text(tmp_path, text))
+
+
+@pytest.mark.parametrize("matrix", [
+    "[[[.5, 0]], [[0, 1]]]", "[[[1., 0]], [[0, 1]]]", "[[[+1, 0]], [[0, 1]]]",
+    "[[[01, 0]], [[0, 1]]]", "[[[1,]0], [[0, 1]]]", "[[1[, 0]], [[0, 1]]]",
+    "[[[1 0, 0]], [[0, 1]]]",
+])
+def test_non_json_numbers_fail_as_json_does(tmp_path, matrix):
+    text = ('{"kind": "dqta", "h": 1, "k": 1,\n "l": 2, "matrix": '
+            + matrix + '}')
+    path = write_text(tmp_path, text)
+    assert cli._split_matrix(text) is not None
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    expected = f"{path}:{exc.value.lineno}:{exc.value.colno}: {exc.value.msg}"
+    with pytest.raises(ValueError) as err:
+        load_record(path)
+    assert str(err.value) == expected
+
+
+def test_nan_entries_still_fail_as_non_finite(tmp_path):
+    path = write_text(tmp_path, '{"kind": "dqta", "h": 1, "k": 1, "l": 1, '
+                                '"matrix": [[[NaN, 0.0]]]}')
+    assert_loads_as_json(path, flat=False)
+    with pytest.raises(ValueError, match="finite"):
+        parse_automaton(path)
 
 
 # -------------------------------------------------------------------- cells
@@ -480,3 +631,12 @@ def test_axioms_command(capsys):
     assert first["law"] == "feedback-tensor-compat"
     assert first["pass"] is True
     assert json.loads(lines[1])["pass"] is False
+
+
+def test_axioms_command_judges_the_counterexample_at_its_tolerance(capsys):
+    # a designated counterexample that passes fails the suite
+    assert run_command(["axioms", "--laws", "conway-counterexample",
+                        "--tol", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_violation"] == 1
+    assert report["pass"] is True
