@@ -179,11 +179,13 @@ def _flat_matrix(text, rows, cols):
     """The rows x cols matrix that json.loads(text) would give as nested
     [re, im] lists, or None when text cannot be shown to be one.
 
-    json parses the numbers as one flat list, with the brackets blanked.
-    That list holds 2*rows*cols numbers, one between each pair of commas,
-    and text with its numbers and whitespace deleted is the exact skeleton;
-    no number follows ']' or precedes '['.  So every number sits in an
-    [re, im] slot, and text is the nested array of those numbers in order.
+    Text with its numbers and whitespace deleted is the exact skeleton,
+    and no number follows ']' or precedes '['.  json parses the numbers as
+    one flat list, with the brackets blanked, so each [re, im] slot holds
+    exactly one number on either side of its comma: the list holds
+    2*rows*cols numbers, and text is the nested array of them in order.
+    The skeleton is built only once its length, rows*(4*cols + 2) + 1,
+    matches the text, so a header larger than the file allocates nothing.
     A zero-size matrix never matches: its skeleton does not end in ']]]'.
     """
     try:
@@ -191,13 +193,13 @@ def _flat_matrix(text, rows, cols):
     except UnicodeEncodeError:
         return None
     marks = raw.translate(_NUMBERS_TO_MARKS, b" \t\n\r")
+    brackets = marks.translate(None, b"#")
     if (b"]#" in marks or b"#[" in marks
-            or marks.translate(None, b"#") != _matrix_skeleton(rows, cols)):
+            or len(brackets) != rows * (4 * cols + 2) + 1
+            or brackets != _matrix_skeleton(rows, cols)):
         return None
     try:
         flat = json.loads(b"[" + raw.translate(_BRACKETS_TO_SPACES) + b"]")
-        if len(flat) != 2 * rows * cols:
-            return None
         arr = np.array(flat, dtype=float).reshape(rows, cols, 2)
     except (ValueError, OverflowError):
         return None

@@ -2,6 +2,7 @@ import glob
 import importlib.util
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,25 @@ def test_zero_size_matrices_take_the_nested_reader(tmp_path, k, l, matrix):
     record = load_record(path)
     assert record.matrix.shape == (l, k)
     assert record.matrix.dtype == complex
+
+
+@pytest.mark.parametrize("h", [500, 100000])
+def test_header_larger_than_the_file_allocates_nothing(tmp_path, h):
+    # a 4x4 matrix under a header declaring 4h x 4h: at h = 500 the
+    # skeleton would take 16 MB, at h = 100000 about 640 GB
+    matrix = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    path = write_text(tmp_path, json.dumps(
+        {"kind": "dqta", "h": h, "k": 4, "l": 4, "matrix": matrix}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            load_record(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        f"{path}: field 'matrix' must have {4 * h} rows, got 4")
+    assert peak < 2 ** 20
 
 
 def test_matrix_key_inside_labels_is_a_label_error(tmp_path):
