@@ -21,19 +21,21 @@ permutation (enter left, leave right, keep state and symbol).  A rule
 table lists [[dir, state, symbol], [dir', state', symbol']] pairs; missing
 configurations stay fixed, and the total map must be a bijection.
 
-Chaining wires the right output of cell i to the left input of cell i+1
-and the left output of cell i+1 back to the right input of cell i, leaving
-one cell's left+right boundary as the external interface.  --mirror flips
-which neighbour a left-moving output feeds: left outputs then wire forward
-(cell i to cell i+1) and right outputs backward, so labels track direction
+Chaining is composition in the Int construction: a segment is the n-fold
+int_compose of the cell, a morphism from its left boundary to its right
+one, which wires the right output of cell i to the left input of cell i+1
+and the left output of cell i+1 back to the right input of cell i.
+--mirror flips which neighbour a left-moving output feeds: left outputs
+then wire forward and right outputs backward, so labels track direction
 of motion instead of the boundary being crossed.  --ring feeds the outer
 boundary pair back as well, leaving no interface.
 
-Exit codes: 0 success or all laws pass, 1 validation or law failure,
-2 usage errors.
+Exit codes: 0 success or all laws pass, 1 validation or law failure or
+running out of memory, 2 usage errors.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import re
@@ -54,17 +56,19 @@ from .dqta import (
     UnitaryDqta,
     cascade,
     feedback_dqta,
-    make_dqta,
     make_unitary_dqta,
     turing_tensor,
 )
-from .intcat import Qta, as_int0, bidirectionalize, make_qta, name_of
+from .intcat import Int0Morphism, Qta, as_int0, bidirectionalize, int_compose
 from .linalg import (
     ISOMETRY_TOL,
     IsometryError,
     Operator,
+    adjoint,
+    identity,
     isometry_defect,
-    summand_index,
+    kron,
+    sum_swap,
     unitary_defect,
 )
 
@@ -105,6 +109,8 @@ def _entries_to_matrix(rows, shape, path):
         return np.zeros(shape, dtype=complex)
     try:
         arr = np.asarray(rows, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: matrix entry too large for a float") from exc
     except (TypeError, ValueError):
         arr = None
     if arr is not None and arr.shape == (expected_rows, expected_cols, 2):
@@ -297,16 +303,27 @@ def load_record(path) -> AutomatonFile:
     return _load_flat(text, path) or _load_nested(text, path)
 
 
-def _build_value(record: AutomatonFile):
-    if record.kind == "qta":
-        return make_qta(record.h, record.k, Operator(record.matrix))
+def _checked_value(record: AutomatonFile):
+    """(value, defect) of a record, checked as its constructor checks it:
+    a qta's unitary defect or a dqta's isometry defect, with a unitary
+    dqta as a UnitaryDqta.  No gram product is computed twice."""
     tau = Operator(record.matrix)
-    if record.k == record.l:
-        try:
-            return make_unitary_dqta(record.h, record.k, tau)
-        except IsometryError:
-            pass
-    return make_dqta(record.h, record.k, record.l, tau)
+    defect = isometry_defect(tau)
+    if record.kind == "qta":
+        defect = max(defect, isometry_defect(adjoint(tau)))
+        if defect > ISOMETRY_TOL:
+            raise IsometryError("transition must be unitary", defect)
+        return Qta(record.h, record.k, tau), defect
+    if defect > ISOMETRY_TOL:
+        raise IsometryError("transition must be an isometry", defect)
+    if (record.k == record.l
+            and isometry_defect(adjoint(tau)) <= ISOMETRY_TOL):
+        return UnitaryDqta(record.h, record.k, record.l, tau), defect
+    return Dqta(record.h, record.k, record.l, tau), defect
+
+
+def _build_value(record: AutomatonFile):
+    return _checked_value(record)[0]
 
 
 def parse_automaton(path):
@@ -404,8 +421,7 @@ def build_cell(states, alphabet_bits, rule=None) -> UnitaryDqta:
     h = 2 ** alphabet_bits
     width = 2 * states
     if rule is None:
-        swap = summand_index(h, [states, states], [1, 0])
-        tau = Operator(np.eye(h * width)[swap])
+        tau = kron(identity(h), sum_swap(states, states))
     elif isinstance(rule, Operator):
         tau = rule
     elif isinstance(rule, np.ndarray):
@@ -418,13 +434,10 @@ def build_cell(states, alphabet_bits, rule=None) -> UnitaryDqta:
 def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
     """Tape segment of n copies of cell, wired as in the module docstring.
 
-    The merge routes the internal pair to the leading position and feeds
-    it back, so the external interface stays one cell's boundary and the
-    state dimension multiplies to cell.h ** n.  Default wiring pairs the
-    left part's right output with the right part's left input and vice
-    versa; under mirror the left part's left output feeds the right part's
-    left input and the right part's right output feeds the left part's
-    right input, so the composite's left outputs sit at its right end.
+    The cell is an Int morphism from its left boundary to its right one:
+    as_int0 reads its outputs [right, left] as [forward, return], which
+    under mirror its outputs [left, right] already are.  A ring closes
+    both boundary loops of the n-fold composite.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -432,26 +445,12 @@ def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
         raise ValueError("cell interfaces must split into left and right "
                          f"halves, got k={cell.k}, l={cell.l}")
     s = cell.k // 2
-    # summands [left, right] of the chain so far, then of the new cell,
-    # listed with the internal pair leading on both sides
-    in_order = [2, 1, 0, 3]
-    out_order = [0, 3, 2, 1] if mirror else [1, 2, 0, 3]
-    chain = UnitaryDqta(cell.h, cell.k, cell.l, cell.tau)
-    for _ in range(n - 1):
-        x = turing_tensor(chain, cell)
-        rows = summand_index(x.h, [s] * 4, out_order)
-        cols = summand_index(x.h, [s] * 4, in_order)
-        routed = Operator(x.tau.mat[np.ix_(rows, cols)])
-        chain = feedback_dqta(UnitaryDqta(x.h, x.k, x.l, routed), 2 * s)
+    cell = UnitaryDqta(cell.h, cell.k, cell.l, cell.tau)
+    step = Int0Morphism(s, s, cell) if mirror else as_int0(cell, s)
+    seg = functools.reduce(int_compose, [step] * n)
     if ring:
-        # default wiring wraps right outputs around to left inputs, which
-        # needs the half swap; mirrored wiring closes up positionally
-        if not mirror:
-            rows = summand_index(chain.h, [s, s], [1, 0])
-            chain = UnitaryDqta(chain.h, chain.k, chain.l,
-                                Operator(chain.tau.mat[rows]))
-        chain = feedback_dqta(chain, 2 * s)
-    return chain
+        return feedback_dqta(seg.carrier, 2 * s)
+    return seg.carrier if mirror else as_int0(seg.carrier, s).carrier
 
 
 # -------------------------------------------------------------- simulation
@@ -514,13 +513,11 @@ def _print_written(value, path):
 
 
 def _cmd_validate(args):
-    value = parse_automaton(args.file)
+    value, defect = _checked_value(load_record(args.file))
     if isinstance(value, Qta):
-        defect = unitary_defect(value.tau)
         print(f"{args.file}: qta h={value.h} k={value.n} "
               f"unitary defect {defect:.3g}")
     else:
-        defect = isometry_defect(value.tau)
         print(f"{args.file}: dqta h={value.h} k={value.k} l={value.l} "
               f"isometry defect {defect:.3g}")
     return 0
@@ -602,7 +599,8 @@ def _cmd_bidir(args):
         if not isinstance(value, UnitaryDqta):
             raise ValueError(f"{args.file}: the name route needs a unitary "
                              "square transition")
-        out = name_of(as_int0(value, src))
+        # name_of(as_int0(value, src)) has exactly value's transition
+        out = Qta(value.h, value.k, value.tau)
         labels = record.labels["input"] if record.labels else None
     else:
         out = bidirectionalize(value)
@@ -765,6 +763,9 @@ def run_command(argv) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -13,6 +13,9 @@ sum, state spaces by tensor product.  Three composition styles:
                  input summand and eliminate the loop with the closed
                  form feedback from the trace module, taken over H (x) U.
 
+All three work on (h, l, h, k) views of transitions: cascade contracts
+two, turing_tensor writes two into one, feedback_dqta slices one.
+
 Matrix conventions follow linalg: the state factor H is always the outer
 (slow) tensor factor, and interface summands concatenate in declaration
 order.  Equality of automata is only ever checked against an explicit
@@ -43,10 +46,9 @@ from .linalg import (
     kron,
     op_distance,
     sum_swap,
-    summand_index,
     unitary_defect,
 )
-from .trace import BlockMap, closed_form
+from .trace import closed_form
 
 
 @dataclass(frozen=True)
@@ -140,21 +142,20 @@ def turing_tensor(t1: Dqta, t2: Dqta) -> Dqta:
 def feedback_dqta(t: Dqta, u: int) -> Dqta:
     """Close the loop over the leading u-dimensional interface summand.
 
-    Gathers the transition into the distributivity layout
-    (H (x) U) (+) (H (x) rest) on both sides, so the loop block leads,
-    then applies the closed-form feedback.  Other summands can be routed
-    into leading position with symmetry automata first.
+    The blocks of the closed form feedback over H (x) U are slices of the
+    (h, l, h, k) view, loop summand first on each interface axis, which
+    list them in the layout (H (x) U) (+) (H (x) rest).  Other summands
+    can be routed into leading position with symmetry automata first.
     """
     if u < 0 or u > t.k or u > t.l:
         raise ShapeError(f"feedback dim {u} exceeds interfaces ({t.k}, {t.l})")
-
-    def loop_first(n):
-        return np.concatenate([summand_index(t.h, [u, n - u], [j])
-                               for j in (0, 1)])
-
-    looped = Operator(t.tau.mat[np.ix_(loop_first(t.l), loop_first(t.k))])
-    m = BlockMap(looped, t.h * u, t.h * (t.k - u), t.h * (t.l - u))
-    return _kind(t)(t.h, t.k - u, t.l - u, closed_form(m))
+    h, k, l = t.h, t.k - u, t.l - u
+    tau = t.tau.mat.reshape(h, t.l, h, t.k)
+    a = tau[:, :u, :, :u].reshape(h * u, h * u)
+    b = tau[:, u:, :, :u].reshape(h * l, h * u)
+    c = tau[:, :u, :, u:].reshape(h * u, h * k)
+    d = tau[:, u:, :, u:].reshape(h * l, h * k)
+    return _kind(t)(h, k, l, closed_form(a, b, c, d))
 
 
 def unit_automata(k: int, l: int):

@@ -14,7 +14,7 @@ Conventions fixed here once and relied on by every other module:
   summands without a permutation matrix or any arithmetic.
 
 All rank decisions (pseudoinverse cutoffs, kernel dimensions) use a
-relative singular value threshold ``tol * sigma_max`` so they are scale
+relative singular value threshold ``RANK_TOL * sigma_max`` so they are scale
 invariant.
 """
 
@@ -133,7 +133,7 @@ def sum_swap(m: int, n: int) -> Operator:
     return _permutation(summand_index(1, [m, n], [1, 0]))
 
 
-def _certified_inverse(mat: np.ndarray, tol: float):
+def _certified_inverse(mat: np.ndarray):
     """LU inverse of a square matrix, or None unless the certificate of
     mp_inverse shows that the SVD would keep every singular value."""
     a = np.abs(mat)
@@ -153,11 +153,11 @@ def _certified_inverse(mat: np.ndarray, tol: float):
     kappa = math.sqrt(math.prod(float(v.max()) for v in
                                 (col, row, b.sum(axis=0), b.sum(axis=1))))
     e = len(mat) * np.finfo(float).eps
-    return x if 2.0 * kappa * (tol + 2.0 * e) <= 1.0 else None
+    return x if 2.0 * kappa * (RANK_TOL + 2.0 * e) <= 1.0 else None
 
 
-def mp_inverse(f: Operator, tol: float = RANK_TOL) -> Operator:
-    """Moore-Penrose inverse at the relative rank cutoff tol.
+def mp_inverse(f: Operator) -> Operator:
+    """Moore-Penrose inverse at the relative rank cutoff tol = RANK_TOL.
 
     Defined through the SVD: singular values above tol * sigma_max are
     inverted, the rest are zeroed, so a zero matrix maps to a zero matrix.
@@ -190,18 +190,16 @@ def mp_inverse(f: Operator, tol: float = RANK_TOL) -> Operator:
       s'_max <= (1 + e) s_max.  Then s'_min > tol * s'_max: the SVD
       would invert every singular value, and its result is the inverse.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if f.mat.size == 0:
         return zeros(f.cols, f.rows)
     if f.rows == f.cols:
-        x = _certified_inverse(f.mat, tol)
+        x = _certified_inverse(f.mat)
         if x is not None:
             return Operator(x)
     u, s, vh = np.linalg.svd(f.mat, full_matrices=False)
     if s[0] <= 0.0:
         return zeros(f.cols, f.rows)
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol * s[0])
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > RANK_TOL * s[0])
     return Operator((vh.conj().T * inv) @ u.conj().T)
 
 
@@ -229,11 +227,12 @@ def op_distance(f: Operator, g: Operator) -> float:
     return float(np.max(np.abs(f.mat - g.mat)))
 
 
-def kernel_on_top(a: Operator, tol: float = RANK_TOL):
+def kernel_on_top(a: Operator):
     """Unitary similarity isolating ker(I - a) as the leading summand.
 
     Returns (s, r) with s unitary and r = dim ker(I - a) at the relative
-    tolerance tol, such that s (I - a) s^dagger has its first r rows zero.
+    tolerance RANK_TOL, such that s (I - a) s^dagger has its first r rows
+    zero.
     The kernel is computed from the SVD of (I - a), which stays robust when
     a is not normal.
     """
@@ -245,7 +244,7 @@ def kernel_on_top(a: Operator, tol: float = RANK_TOL):
     m = np.eye(n) - a.mat
     u, s, _ = np.linalg.svd(m)
     if s[0] > 0.0:
-        r = int(np.count_nonzero(s <= tol * s[0]))
+        r = int(np.count_nonzero(s <= RANK_TOL * s[0]))
     else:
         r = n  # a = I, everything is kernel
     order = np.concatenate([np.arange(n - r, n), np.arange(n - r)]).astype(int)

@@ -5,7 +5,7 @@ Three semantics for closing the U loop of an isometric block operator:
 * ``schur_feedback``: the closed form D + B (I - A)^+ C, with the
   Moore-Penrose inverse supplying the Schur-style complement of (I - A).
   This is the reference implementation; it sends isometries to isometries.
-  ``closed_form`` is the same formula without the input check.
+  ``closed_form`` is the same formula on the four blocks, unchecked.
 * ``kleene_feedback``: the limit of D + B (I + A + ... + A^n) C, reported
   with an explicit convergence witness.  Divergence is reported, never
   silently averaged; Cesaro averaging of the partial sums is opt-in.
@@ -39,7 +39,6 @@ from .linalg import (
     ISOMETRY_TOL,
     IsometryError,
     Operator,
-    RANK_TOL,
     ShapeError,
     isometry_defect,
     mp_inverse,
@@ -96,29 +95,28 @@ def split_blocks(m: BlockMap):
     return a, b, c, d
 
 
-def _require_isometry(m: BlockMap, tol: float):
+def _require_isometry(m: BlockMap):
     defect = isometry_defect(m.op)
-    if defect > tol:
+    if defect > ISOMETRY_TOL:
         raise IsometryError("feedback input must be an isometry", defect)
 
 
-def closed_form(m: BlockMap) -> Operator:
-    """D + B (I - A)^+ C without an input check: the caller vouches that
-    m is an isometry, as the automaton algebra does for its transitions."""
-    a, b, c, d = split_blocks(m)
-    n = np.eye(m.u) - a.mat
-    pinv = mp_inverse(Operator(n), RANK_TOL)
-    return Operator(d.mat + b.mat @ pinv.mat @ c.mat)
+def closed_form(a, b, c, d) -> Operator:
+    """D + B (I - A)^+ C on the four block arrays, unchecked: the caller
+    vouches that they form an isometry, as the automaton algebra does for
+    its transitions."""
+    pinv = mp_inverse(Operator(np.eye(len(a)) - a))
+    return Operator(d + b @ pinv.mat @ c)
 
 
-def schur_feedback(m: BlockMap, tol: float = ISOMETRY_TOL) -> Operator:
+def schur_feedback(m: BlockMap) -> Operator:
     """Close the U loop: D + B (I - A)^+ C.
 
-    The input must be an isometry within tol; the output is then an
-    isometry K -> L with defect at most about 100 * tol.
+    The input must be an isometry within ISOMETRY_TOL.  The output's
+    isometry defect is input-limited: it grows as I - A nears singularity.
     """
-    _require_isometry(m, tol)
-    return closed_form(m)
+    _require_isometry(m)
+    return closed_form(*(block.mat for block in split_blocks(m)))
 
 
 def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10,
@@ -134,7 +132,7 @@ def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10,
     """
     if mode not in ("partial-sums", "cesaro"):
         raise ValueError(f"unknown mode {mode!r}")
-    _require_isometry(m, ISOMETRY_TOL)
+    _require_isometry(m)
     a, b, c, d = split_blocks(m)
     if m.u == 0:
         return d, ConvergenceReport(steps=0, residual=0.0, converged=True, mode=mode)
@@ -167,7 +165,7 @@ def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10,
                                   converged=residual <= tol, mode=mode)
 
 
-def kernel_image_trace(m: BlockMap, tol: float = ISOMETRY_TOL) -> Operator:
+def kernel_image_trace(m: BlockMap) -> Operator:
     """Feedback through factorizations of B and C across (I - A).
 
     Solves B = k-factor after (I - A) and C = (I - A) after i-factor in
@@ -175,13 +173,13 @@ def kernel_image_trace(m: BlockMap, tol: float = ISOMETRY_TOL) -> Operator:
     returns the average of the two equivalent combinations D + (C then
     k-factor) and D + (i-factor then B).
     """
-    _require_isometry(m, tol)
+    _require_isometry(m)
     a, b, c, d = split_blocks(m)
     n = np.eye(m.u) - a.mat
-    pinv = mp_inverse(Operator(n), RANK_TOL).mat
+    pinv = mp_inverse(Operator(n)).mat
     k_factor = b.mat @ pinv          # minimal-norm solution of B = k (I - A)
     i_factor = pinv @ c.mat          # minimal-norm solution of C = (I - A) i
-    bound = FACTOR_SLACK * tol
+    bound = FACTOR_SLACK * ISOMETRY_TOL
     res_b = float(np.max(np.abs(k_factor @ n - b.mat))) if b.mat.size else 0.0
     res_c = float(np.max(np.abs(n @ i_factor - c.mat))) if c.mat.size else 0.0
     if res_b > bound or res_c > bound:

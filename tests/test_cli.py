@@ -19,7 +19,15 @@ from qta.cli import (
     simulate,
     write_automaton,
 )
-from qta.dqta import Dqta, UnitaryDqta, make_dqta, make_unitary_dqta, unit_automata
+from qta import dqta, intcat, linalg, trace
+from qta.dqta import (
+    Dqta,
+    UnitaryDqta,
+    make_dqta,
+    make_unitary_dqta,
+    turing_tensor,
+    unit_automata,
+)
 from qta.intcat import Qta, as_int0, bidirectionalize, int_compose, make_qta, name_of
 from qta.linalg import (
     IsometryError,
@@ -30,8 +38,10 @@ from qta.linalg import (
     op_distance,
     random_isometry,
     sum_swap,
+    summand_index,
     unitary_defect,
 )
+from test_dqta import gather_feedback
 from test_trace import theta_blockmap
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -424,6 +434,60 @@ def test_ring_closes_every_interface():
     assert (ring.h, ring.k, ring.l) == (4, 0, 0)
 
 
+def gather_chain(cell, n, mirror=False, ring=False):
+    """Reference chain_cells: each merge gathers the internal pair of the
+    tensored chain and cell into leading position in its own summand
+    orders, and a default ring swaps the halves of the outputs first."""
+    s = cell.k // 2
+    in_order = [2, 1, 0, 3]
+    out_order = [0, 3, 2, 1] if mirror else [1, 2, 0, 3]
+    chain = cell
+    for _ in range(n - 1):
+        x = turing_tensor(chain, cell)
+        rows = summand_index(x.h, [s] * 4, out_order)
+        cols = summand_index(x.h, [s] * 4, in_order)
+        routed = Operator(x.tau.mat[np.ix_(rows, cols)])
+        chain = gather_feedback(Dqta(x.h, x.k, x.l, routed), 2 * s)
+    if ring:
+        if not mirror:
+            rows = summand_index(chain.h, [s, s], [1, 0])
+            chain = Dqta(chain.h, chain.k, chain.l,
+                         Operator(chain.tau.mat[rows]))
+        chain = gather_feedback(chain, 2 * s)
+    return chain
+
+
+CHIRAL_RULE = [[["L", 1, 0], ["R", 1, 1]], [["R", 1, 1], ["L", 1, 0]]]
+WIRINGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("mirror, ring", WIRINGS)
+@pytest.mark.parametrize("states, bits", [(2, 1), (2, 2), (1, 2)])
+def test_chain_equals_the_gathered_wiring_bit_for_bit(states, bits,
+                                                       mirror, ring):
+    cell = build_cell(states, bits)
+    for n in (1, 2, 3):
+        seg = chain_cells(cell, n, mirror=mirror, ring=ring)
+        ref = gather_chain(cell, n, mirror=mirror, ring=ring)
+        side = 0 if ring else cell.k
+        assert isinstance(seg, UnitaryDqta)
+        assert (seg.h, seg.k, seg.l) == (cell.h ** n, side, side)
+        assert np.array_equal(seg.tau.mat, ref.tau.mat)
+
+
+@pytest.mark.parametrize("mirror, ring", WIRINGS)
+def test_chain_matches_the_gathered_wiring_on_rule_cells(mirror, ring):
+    # a Haar rule and the chiral rule leave loops the SVD must cut, where
+    # the composite's loop block is the reference's with its halves swapped
+    for cell in (build_cell(2, 1, random_isometry(8, 8, 7)),
+                 build_cell(1, 1, random_isometry(4, 4, 8)),
+                 build_cell(1, 1, CHIRAL_RULE)):
+        for n in (1, 2, 3):
+            seg = chain_cells(cell, n, mirror=mirror, ring=ring)
+            ref = gather_chain(cell, n, mirror=mirror, ring=ring)
+            assert op_distance(seg.tau, ref.tau) <= 1e-12
+
+
 # --------------------------------------------------------------- simulation
 
 def test_simulation_echoes_initial_on_zero_steps():
@@ -505,6 +569,62 @@ def test_validate_reports_shape_and_defect(capsys):
     assert run_command(["validate", src]) == 0
     out = capsys.readouterr().out
     assert "dqta h=2 k=4 l=4" in out
+
+
+@pytest.mark.parametrize("name, products", [
+    ("cell_2s1b.json", 2), ("cell_2s1b_bidir.json", 2), ("rectangular", 1)])
+def test_validate_computes_each_gram_product_once(tmp_path, capsys,
+                                                 monkeypatch, name, products):
+    # a square dqta needs tau's gram product and its adjoint's, a qta the
+    # same two, a rectangular dqta only tau's
+    path = os.path.join(DATA_DIR, name)
+    if name == "rectangular":
+        path = str(tmp_path / "t.json")
+        write_automaton(rand_dqta(2, 2, 3, 5), path)
+    value = parse_automaton(path)
+    if isinstance(value, Qta):
+        expected = (f"{path}: qta h={value.h} k={value.n} "
+                    f"unitary defect {unitary_defect(value.tau):.3g}\n")
+    else:
+        expected = (f"{path}: dqta h={value.h} k={value.k} l={value.l} "
+                    f"isometry defect {isometry_defect(value.tau):.3g}\n")
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return isometry_defect(f)
+
+    for module in (linalg, trace, dqta, intcat, cli):
+        if hasattr(module, "isometry_defect"):
+            monkeypatch.setattr(module, "isometry_defect", counted)
+    assert run_command(["validate", path]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(calls) == products
+
+
+def test_integer_entry_beyond_float_range_is_a_load_error(tmp_path, capsys):
+    path = write_text(tmp_path, '{"kind": "dqta", "h": 1, "k": 1, "l": 1, '
+                                '"matrix": [[[1' + "0" * 400 + ', 0]]]}')
+    with pytest.raises(ValueError, match="too large for a float"):
+        load_record(path)
+    assert run_command(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "too large" in err
+
+
+def test_memory_error_is_reported_without_a_traceback(tmp_path, capsys,
+                                                      monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "chain_cells", out_of_memory)
+    out = str(tmp_path / "seg.json")
+    assert run_command(["chain", os.path.join(DATA_DIR, "cell_2s3b.json"),
+                        "--n", "4", "-o", out]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 16.0 GiB "
+                   "for an array\n")
+    assert not os.path.exists(out)
 
 
 def test_compose_tensor_feedback_commands(tmp_path, capsys):

@@ -11,6 +11,7 @@ from qta.linalg import (
     kron,
     op_distance,
     random_isometry,
+    summand_index,
     unitary_defect,
 )
 from qta.trace import BlockMap, schur_feedback
@@ -210,6 +211,31 @@ def test_feedback_accepts_the_valid_theta_automaton(theta):
     assert isinstance(cascade(t, t), UnitaryDqta)
     assert isinstance(turing_tensor(t, t), UnitaryDqta)
     assert type(feedback_dqta(rand_dqta(2, 3, 3, seed=22), 1)) is Dqta
+
+
+def gather_feedback(t, u):
+    """Reference feedback_dqta: gather the transition into the layout
+    (H (x) U) (+) (H (x) rest) on both sides, then split the block map."""
+    def loop_first(n):
+        return np.concatenate([summand_index(t.h, [u, n - u], [j])
+                               for j in (0, 1)])
+
+    looped = Operator(t.tau.mat[np.ix_(loop_first(t.l), loop_first(t.k))])
+    m = BlockMap(looped, t.h * u, t.h * (t.k - u), t.h * (t.l - u))
+    return Dqta(t.h, t.k - u, t.l - u, schur_feedback(m))
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("k, l", [(1, 2), (2, 3), (3, 5), (0, 2), (3, 3)])
+def test_feedback_slices_equal_the_gathered_block_map(h, k, l):
+    # slicing the (h, l, h, k) view lists each block in the gather's
+    # order, so the two agree bit for bit
+    for seed in range(3):
+        t = rand_dqta(h, k, l, seed=1000 * h + 10 * k + l + 100 * seed)
+        for u in range(min(k, l) + 1):
+            out = feedback_dqta(t, u)
+            assert (out.h, out.k, out.l) == (h, k - u, l - u)
+            assert np.array_equal(out.tau.mat, gather_feedback(t, u).tau.mat)
 
 
 # ------------------------------------------------------------ trace axioms
