@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from qta.axioms import (
     EXPECTED_FAIL,
     LAW_GROUPS,
+    LAWS,
     CheckConfig,
     LawReport,
-    check_equivalences,
-    check_int0_laws,
-    check_trace_axioms,
     conway_counterexample,
     instance_seed,
     report_line,
@@ -27,6 +25,8 @@ def test_config_rejects_bad_fields():
         CheckConfig(instances=-1)
     with pytest.raises(ValueError):
         CheckConfig(tolerance=0.0)
+    with pytest.raises(ValueError, match="max_dim must be at least 2, got 1"):
+        CheckConfig(max_dim=1)
     with pytest.raises(ValueError):
         CheckConfig(law_set=("no-such-group",))
 
@@ -48,7 +48,7 @@ def test_instance_seeds_distinct_across_indices():
 
 def test_trace_axiom_reports_pass():
     cfg = CheckConfig(seed=3, instances=15, law_set=("trace-axioms",))
-    reports = check_trace_axioms(cfg)
+    reports = run_checks(cfg)
     assert len(reports) == 15
     assert all(r.passed for r in reports)
     assert all(r.instances_run == 15 for r in reports)
@@ -58,8 +58,10 @@ def test_trace_axiom_reports_pass():
 
 
 def test_equivalence_reports_pass():
-    cfg = CheckConfig(seed=11, instances=12)
-    reports = check_equivalences(cfg)
+    cfg = CheckConfig(seed=11, instances=12,
+                      law_set=("kleene-equivalence", "kit-equivalence",
+                               "tensor-compat", "dagger"))
+    reports = run_checks(cfg)
     assert {r.law for r in reports} == {
         "kleene-vs-closed-form",
         "kit-vs-closed-form",
@@ -71,10 +73,69 @@ def test_equivalence_reports_pass():
 
 
 def test_int0_reports_pass():
-    cfg = CheckConfig(seed=5, instances=10)
-    reports = check_int0_laws(cfg)
+    cfg = CheckConfig(seed=5, instances=10, law_set=("int0-laws", "functor-F"))
+    reports = run_checks(cfg)
     assert len(reports) == 14
     assert all(r.passed for r in reports)
+
+
+REPORT_ORDER = [
+    "trace-naturality-input",
+    "trace-naturality-output",
+    "trace-sliding",
+    "trace-vanishing-unit",
+    "trace-vanishing-pair",
+    "trace-vanishing-kernel",
+    "trace-superposing",
+    "trace-yanking",
+    "dqt-naturality-input",
+    "dqt-naturality-output",
+    "dqt-sliding",
+    "dqt-vanishing-unit",
+    "dqt-vanishing-pair",
+    "dqt-superposing",
+    "dqt-yanking",
+    "kleene-vs-closed-form",
+    "kit-vs-closed-form",
+    "feedback-tensor-compat",
+    "dagger-vs-feedback-operators",
+    "dagger-vs-feedback-automata",
+    "int0-unit-laws",
+    "int0-associativity",
+    "int0-triangles",
+    "int0-symmetry-coherence",
+    "int0-compound-unit",
+    "int0-dual-of-counit-is-unit",
+    "int0-dagger-involution",
+    "int0-dagger-contravariance",
+    "int0-bifunctoriality",
+    "int0-yanking",
+    "functor-preserves-identity",
+    "functor-preserves-composition",
+    "functor-preserves-dagger",
+    "functor-preserves-feedback",
+    "conway-star-identities",
+]
+
+
+def test_report_order_is_pinned():
+    reports = run_checks(CheckConfig(instances=0))
+    assert [r.law for r in reports] == REPORT_ORDER
+
+
+def test_each_group_selects_its_rows_in_table_order():
+    for group in LAW_GROUPS:
+        names = [r.law for r in run_checks(CheckConfig(instances=0,
+                                                        law_set=(group,)))]
+        if group == "conway-counterexample":
+            assert names == ["conway-star-identities"]
+        else:
+            assert names == [law for g, law, _ in LAWS if g == group]
+            assert names
+
+
+def test_table_groups_are_the_law_groups():
+    assert {g for g, _, _ in LAWS} | {"conway-counterexample"} == set(LAW_GROUPS)
 
 
 def test_law_set_filters_groups():

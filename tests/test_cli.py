@@ -773,6 +773,11 @@ def test_axioms_command(capsys):
     assert json.loads(lines[1])["pass"] is False
 
 
+def test_axioms_command_rejects_max_dim_below_two(capsys):
+    assert run_command(["axioms", "--max-dim", "1"]) == 1
+    assert "max_dim must be at least 2, got 1" in capsys.readouterr().err
+
+
 def test_axioms_command_judges_the_counterexample_at_its_tolerance(capsys):
     # a designated counterexample that passes fails the suite
     assert run_command(["axioms", "--laws", "conway-counterexample",
