@@ -113,7 +113,7 @@ class CheckConfig:
             raise ValueError(f"instances must be nonnegative, got {self.instances}")
         if self.max_dim < 2:
             raise ValueError(f"max_dim must be at least 2, got {self.max_dim}")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         unknown = set(self.law_set) - set(LAW_GROUPS)
         if unknown:

@@ -7,6 +7,8 @@ two-element [re, im] pair of JSON numbers.  A qta record omits "l" and
 stores its rank in "k".  Labels are optional and purely presentational:
 {"input": [...], "output": [...]} for dqta, a single list for qta.  They
 are validated against the interface dims and dropped before any algebra.
+The writer checks labels and transition with the loader's own code, so
+every file qta writes can be read back.
 
 The reader parses the matrix as one flat list of numbers and proves its
 [[[re, im], ...], ...] bracket structure separately (see _flat_matrix), so
@@ -62,9 +64,9 @@ from .dqta import (
 from .intcat import Int0Morphism, Qta, as_int0, bidirectionalize, int_compose
 from .linalg import (
     ISOMETRY_TOL,
-    IsometryError,
     Operator,
     adjoint,
+    check_defect,
     identity,
     isometry_defect,
     kron,
@@ -220,7 +222,8 @@ def _require_int(record, field, path):
 
 
 def _check_label_list(values, n, where, path):
-    if (not isinstance(values, list) or len(values) != n
+    # a tuple is what the writer is handed; json reads it back as a list
+    if (not isinstance(values, (list, tuple)) or len(values) != n
             or not all(isinstance(s, str) for s in values)):
         raise ValueError(
             f"{path}: {where} labels must be a list of {n} strings")
@@ -310,53 +313,50 @@ def _checked_value(record: AutomatonFile):
     tau = Operator(record.matrix)
     defect = isometry_defect(tau)
     if record.kind == "qta":
-        defect = max(defect, isometry_defect(adjoint(tau)))
-        if defect > ISOMETRY_TOL:
-            raise IsometryError("transition must be unitary", defect)
+        defect = check_defect(max(defect, isometry_defect(adjoint(tau))),
+                              "transition must be unitary")
         return Qta(record.h, record.k, tau), defect
-    if defect > ISOMETRY_TOL:
-        raise IsometryError("transition must be an isometry", defect)
+    check_defect(defect, "transition must be an isometry")
     if (record.k == record.l
             and isometry_defect(adjoint(tau)) <= ISOMETRY_TOL):
         return UnitaryDqta(record.h, record.k, record.l, tau), defect
     return Dqta(record.h, record.k, record.l, tau), defect
 
 
-def _build_value(record: AutomatonFile):
-    return _checked_value(record)[0]
-
-
 def parse_automaton(path):
     """Dqta or Qta from a file; unitary square transitions come back as
     UnitaryDqta."""
-    return _build_value(load_record(path))
+    return _checked_value(load_record(path))[0]
+
+
+def _read_dqta(command, *paths):
+    """(record, value) of each dqta file, checked as parse_automaton checks
+    it; every file is read and kind-checked before any matrix is."""
+    records = [load_record(path) for path in paths]
+    for record, path in zip(records, paths):
+        if record.kind != "dqta":
+            raise ValueError(f"{path}: {command} works on dqta records")
+    return [(record, _checked_value(record)[0]) for record in records]
 
 
 def write_automaton(value, path, labels=None):
-    """Write one automaton file, after the check the loader makes, so that
-    every file written can be read back."""
+    """Write one automaton file after the loader's own label and transition
+    checks, so that every file written can be read back."""
     if isinstance(value, Qta):
+        record = {"kind": "qta", "h": value.h, "k": value.n}
         defect = unitary_defect(value.tau)
-        record = {"kind": "qta", "h": value.h, "k": value.n,
-                  "matrix": _matrix_to_entries(value.tau)}
-        if labels is not None:
-            record["labels"] = list(
-                _check_label_list(list(labels), value.n, "interface", path))
     elif isinstance(value, Dqta):
+        record = {"kind": "dqta", "h": value.h, "k": value.k, "l": value.l}
         defect = isometry_defect(value.tau)
-        record = {"kind": "dqta", "h": value.h, "k": value.k, "l": value.l,
-                  "matrix": _matrix_to_entries(value.tau)}
-        if labels is not None:
-            record["labels"] = {
-                "input": list(_check_label_list(
-                    list(labels["input"]), value.k, "input", path)),
-                "output": list(_check_label_list(
-                    list(labels["output"]), value.l, "output", path))}
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")
-    if defect > ISOMETRY_TOL:
-        raise IsometryError(f"{path}: refusing to write a transition the "
-                            "loader would reject", defect)
+    labels = _check_labels({"labels": labels}, record["kind"], record["k"],
+                           record.get("l"), path)
+    check_defect(defect, f"{path}: refusing to write a transition the "
+                 "loader would reject")
+    record["matrix"] = _matrix_to_entries(value.tau)
+    if labels is not None:
+        record["labels"] = labels
     with open(path, "w") as fh:
         # json.dumps encodes in C in one pass; json.dump streams through
         # the pure-Python encoder, several times slower on large matrices
@@ -524,11 +524,8 @@ def _cmd_validate(args):
 
 
 def _cmd_compose(args):
-    first, second = load_record(args.first), load_record(args.second)
-    for rec, path in ((first, args.first), (second, args.second)):
-        if rec.kind != "dqta":
-            raise ValueError(f"{path}: compose works on dqta records")
-    out = cascade(_build_value(first), _build_value(second))
+    (first, a), (second, b) = _read_dqta("compose", args.first, args.second)
+    out = cascade(a, b)
     labels = None
     if first.labels and second.labels:
         labels = {"input": first.labels["input"],
@@ -539,11 +536,8 @@ def _cmd_compose(args):
 
 
 def _cmd_tensor(args):
-    first, second = load_record(args.first), load_record(args.second)
-    for rec, path in ((first, args.first), (second, args.second)):
-        if rec.kind != "dqta":
-            raise ValueError(f"{path}: tensor works on dqta records")
-    out = turing_tensor(_build_value(first), _build_value(second))
+    (first, a), (second, b) = _read_dqta("tensor", args.first, args.second)
+    out = turing_tensor(a, b)
     labels = None
     if first.labels and second.labels:
         labels = {"input": first.labels["input"] + second.labels["input"],
@@ -554,10 +548,8 @@ def _cmd_tensor(args):
 
 
 def _cmd_feedback(args):
-    record = load_record(args.file)
-    if record.kind != "dqta":
-        raise ValueError(f"{args.file}: feedback works on dqta records")
-    out = feedback_dqta(_build_value(record), args.u)
+    [(record, value)] = _read_dqta("feedback", args.file)
+    out = feedback_dqta(value, args.u)
     labels = None
     if record.labels:
         labels = {"input": record.labels["input"][args.u:],
@@ -570,7 +562,7 @@ def _cmd_feedback(args):
 def _lr_split(record):
     """Size of the leading left block when labels split as (L,*) then (R,*);
     None otherwise."""
-    if not record.labels or record.kind != "dqta":
+    if not record.labels:
         return None
     ins, outs = record.labels["input"], record.labels["output"]
     if ins != outs or not ins:
@@ -583,10 +575,7 @@ def _lr_split(record):
 
 
 def _cmd_bidir(args):
-    record = load_record(args.file)
-    if record.kind != "dqta":
-        raise ValueError(f"{args.file}: already a qta record")
-    value = _build_value(record)
+    [(record, value)] = _read_dqta("bidir", args.file)
     src = _lr_split(record)
     route = args.route
     if route == "auto":
@@ -641,14 +630,11 @@ def _cmd_cell(args):
 
 
 def _cmd_chain(args):
-    record = load_record(args.file)
-    if record.kind != "dqta":
-        raise ValueError(f"{args.file}: chain works on dqta records")
+    [(record, value)] = _read_dqta("chain", args.file)
     src = _lr_split(record)
     if src is None or 2 * src != record.k:
         raise ValueError(f"{args.file}: chain needs interfaces labeled as "
                          "matching (L,*) and (R,*) halves")
-    value = _build_value(record)
     out = chain_cells(value, args.n, mirror=args.mirror, ring=args.ring)
     if args.ring:
         labels = {"input": (), "output": ()}

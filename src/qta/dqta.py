@@ -22,13 +22,14 @@ order.  Equality of automata is only ever checked against an explicit
 state-space witness (iso_witness_check); no isomorphism search happens
 anywhere.
 
-Validation policy: a transition is checked once, where it enters -- in
-make_dqta, make_unitary_dqta and intcat.make_qta, on file load, and in
-dagger_dqta when handed a plain Dqta -- always at linalg.ISOMETRY_TOL.
-Feedback sends isometries to isometries and every other operation only
-routes or multiplies them, so operations here and in intcat build their
-results unchecked, returning a UnitaryDqta when every operand is one.
-The command line checks each automaton again before writing its file.
+Validation policy: an operator is checked where it enters or leaves the
+library, always by the one gate linalg.check_defect -- in make_dqta,
+make_unitary_dqta and intcat.make_qta, in dagger_dqta when handed a plain
+Dqta, in the three trace entry points, on file load and before a file is
+written.  Feedback sends isometries to isometries and every other
+operation only routes or multiplies them, so operations here and in
+intcat build their results unchecked, returning a UnitaryDqta when every
+operand is one.
 """
 
 from dataclasses import dataclass
@@ -37,10 +38,10 @@ import numpy as np
 
 from .linalg import (
     ISOMETRY_TOL,
-    IsometryError,
     Operator,
     ShapeError,
     adjoint,
+    check_defect,
     identity,
     isometry_defect,
     kron,
@@ -89,18 +90,14 @@ def _kind(*ts):
 def make_dqta(h: int, k: int, l: int, tau: Operator) -> Dqta:
     """Validated construction; rejects non-isometric transitions."""
     t = Dqta(h, k, l, tau)
-    defect = isometry_defect(tau)
-    if defect > ISOMETRY_TOL:
-        raise IsometryError("transition must be an isometry", defect)
+    check_defect(isometry_defect(tau), "transition must be an isometry")
     return t
 
 
 def make_unitary_dqta(h: int, k: int, tau: Operator) -> UnitaryDqta:
     """Validated construction of an automaton with unitary transition."""
     t = UnitaryDqta(h, k, k, tau)
-    defect = unitary_defect(tau)
-    if defect > ISOMETRY_TOL:
-        raise IsometryError("transition must be unitary", defect)
+    check_defect(unitary_defect(tau), "transition must be unitary")
     return t
 
 
@@ -207,7 +204,5 @@ def dagger_dqta(t: Dqta) -> UnitaryDqta:
     if t.k != t.l:
         raise ShapeError(f"dagger needs k = l, got {t.k}, {t.l}")
     if not isinstance(t, UnitaryDqta):
-        defect = unitary_defect(t.tau)
-        if defect > ISOMETRY_TOL:
-            raise IsometryError("dagger needs a unitary transition", defect)
+        check_defect(unitary_defect(t.tau), "dagger needs a unitary transition")
     return UnitaryDqta(t.h, t.l, t.l, adjoint(t.tau))

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    ISOMETRY_TOL,
-    IsometryError,
     Operator,
     ShapeError,
+    check_defect,
     dsum,
     identity,
     sum_swap,
@@ -64,9 +63,7 @@ class Qta:
 def make_qta(h: int, n: int, tau: Operator) -> Qta:
     """Validated construction; rejects non-unitary transitions."""
     q = Qta(h, n, tau)
-    defect = unitary_defect(tau)
-    if defect > ISOMETRY_TOL:
-        raise IsometryError("transition must be unitary", defect)
+    check_defect(unitary_defect(tau), "transition must be unitary")
     return q
 
 
@@ -84,9 +81,9 @@ class Int0Morphism:
     def __post_init__(self):
         if self.src < 0 or self.dst < 0:
             raise ShapeError(f"bad ranks {self.src}, {self.dst}")
-        if self.carrier.k != self.src + self.dst:
-            raise ShapeError(
-                f"carrier interface {self.carrier.k} != {self.src} + {self.dst}")
+        if not self.carrier.k == self.carrier.l == self.src + self.dst:
+            raise ShapeError(f"carrier interfaces {self.carrier.k} -> "
+                             f"{self.carrier.l} must be {self.src} + {self.dst}")
 
 
 def _reorder(t, in_dims, in_order, out_dims, out_order) -> Operator:

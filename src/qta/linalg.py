@@ -46,6 +46,14 @@ class IsometryError(ValueError):
         self.defect = float(defect)
 
 
+def check_defect(defect: float, what: str) -> float:
+    """The one acceptance gate: defect, or IsometryError(what, defect) when
+    it exceeds ISOMETRY_TOL."""
+    if defect > ISOMETRY_TOL:
+        raise IsometryError(what, defect)
+    return defect
+
+
 class Operator:
     """A linear map between finite dimensional complex spaces.
 

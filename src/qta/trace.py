@@ -37,9 +37,9 @@ import numpy as np
 
 from .linalg import (
     ISOMETRY_TOL,
-    IsometryError,
     Operator,
     ShapeError,
+    check_defect,
     isometry_defect,
     mp_inverse,
 )
@@ -95,12 +95,6 @@ def split_blocks(m: BlockMap):
     return a, b, c, d
 
 
-def _require_isometry(m: BlockMap):
-    defect = isometry_defect(m.op)
-    if defect > ISOMETRY_TOL:
-        raise IsometryError("feedback input must be an isometry", defect)
-
-
 def closed_form(a, b, c, d) -> Operator:
     """D + B (I - A)^+ C on the four block arrays, unchecked: the caller
     vouches that they form an isometry, as the automaton algebra does for
@@ -115,7 +109,7 @@ def schur_feedback(m: BlockMap) -> Operator:
     The input must be an isometry within ISOMETRY_TOL.  The output's
     isometry defect is input-limited: it grows as I - A nears singularity.
     """
-    _require_isometry(m)
+    check_defect(isometry_defect(m.op), "feedback input must be an isometry")
     return closed_form(*(block.mat for block in split_blocks(m)))
 
 
@@ -132,7 +126,7 @@ def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10,
     """
     if mode not in ("partial-sums", "cesaro"):
         raise ValueError(f"unknown mode {mode!r}")
-    _require_isometry(m)
+    check_defect(isometry_defect(m.op), "feedback input must be an isometry")
     a, b, c, d = split_blocks(m)
     if m.u == 0:
         return d, ConvergenceReport(steps=0, residual=0.0, converged=True, mode=mode)
@@ -173,7 +167,7 @@ def kernel_image_trace(m: BlockMap) -> Operator:
     returns the average of the two equivalent combinations D + (C then
     k-factor) and D + (i-factor then B).
     """
-    _require_isometry(m)
+    check_defect(isometry_defect(m.op), "feedback input must be an isometry")
     a, b, c, d = split_blocks(m)
     n = np.eye(m.u) - a.mat
     pinv = mp_inverse(Operator(n)).mat

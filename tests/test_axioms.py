@@ -25,6 +25,8 @@ def test_config_rejects_bad_fields():
         CheckConfig(instances=-1)
     with pytest.raises(ValueError):
         CheckConfig(tolerance=0.0)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        CheckConfig(tolerance=float("nan"))
     with pytest.raises(ValueError, match="max_dim must be at least 2, got 1"):
         CheckConfig(max_dim=1)
     with pytest.raises(ValueError):

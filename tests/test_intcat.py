@@ -18,6 +18,7 @@ from qta.dqta import (
     dagger_dqta,
     feedback_dqta,
     iso_witness_check,
+    make_dqta,
     make_unitary_dqta,
     unit_automata,
 )
@@ -71,6 +72,9 @@ def test_qta_validation():
 def test_morphism_validation():
     with pytest.raises(ShapeError):
         Int0Morphism(2, 2, rand_unitary(1, 3, seed=0))
+    # a 1 + 1 carrier with three outputs would lose a row under int_dagger
+    with pytest.raises(ShapeError):
+        Int0Morphism(1, 1, make_dqta(1, 2, 3, random_isometry(3, 2, 0)))
 
 
 # ------------------------------------------------------------ category laws
