@@ -8,7 +8,10 @@ stores its rank in "k".  Labels are optional and purely presentational:
 {"input": [...], "output": [...]} for dqta, a single list for qta.  They
 are validated against the interface dims and dropped before any algebra.
 The writer checks labels and transition with the loader's own code, so
-every file qta writes can be read back.
+every file qta writes can be read back, and refuses a transition whose
+dense array (16 bytes per entry) exceeds physical memory before building
+any text.  The loader finds the carried form of a monomial matrix (see
+linalg), and the writer builds the text of a carried form from it.
 
 The reader parses the matrix as one flat list of numbers and proves its
 [[[re, im], ...], ...] bracket structure separately (see _flat_matrix), so
@@ -30,7 +33,9 @@ and the left output of cell i+1 back to the right input of cell i.
 --mirror flips which neighbour a left-moving output feeds: left outputs
 then wire forward and right outputs backward, so labels track direction
 of motion instead of the boundary being crossed.  --ring feeds the outer
-boundary pair back as well, leaving no interface.
+boundary pair back as well, leaving no interface.  Default and rule-table
+cells carry their form, so a segment is built by index arithmetic and path
+following, with no dense matrix.
 
 Exit codes: 0 success or all laws pass, 1 validation or law failure or
 running out of memory, 2 usage errors.
@@ -40,6 +45,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -62,14 +68,16 @@ from .dqta import (
     turing_tensor,
 )
 from .intcat import Int0Morphism, Qta, as_int0, bidirectionalize, int_compose
+from . import linalg
 from .linalg import (
-    ISOMETRY_TOL,
     Operator,
     adjoint,
+    carried,
     check_defect,
     identity,
     isometry_defect,
     kron,
+    monomial,
     sum_swap,
     unitary_defect,
 )
@@ -135,8 +143,25 @@ def _entries_to_matrix(rows, shape, path):
     raise ValueError(f"{path}: malformed matrix")
 
 
-def _matrix_to_entries(op):
-    return np.stack([op.mat.real, op.mat.imag], axis=-1).tolist()
+def _matrix_text(op):
+    """json.dumps of op's [[[re, im], ...], ...] entries; from a carried
+    form, whose rows hold at most one nonzero entry each, the text is built
+    row by row without the dense array."""
+    if op.form is None:
+        return json.dumps(np.stack([op.mat.real, op.mat.imag], axis=-1).tolist())
+    target, phase = op.form
+    source = np.full(op.rows, -1)
+    source[target] = np.arange(op.cols)
+    zero = "[0.0, 0.0]"
+    rows = []
+    for j in source.tolist():
+        if j < 0:
+            rows.append("[" + ", ".join([zero] * op.cols) + "]")
+        else:
+            entry = f"[{float(phase[j].real)!r}, {float(phase[j].imag)!r}]"
+            rows.append("[" + (zero + ", ") * j + entry
+                        + (", " + zero) * (op.cols - j - 1) + "]")
+    return "[" + ", ".join(rows) + "]"
 
 
 _MATRIX_KEY = re.compile(r'"matrix"\s*:\s*\[')
@@ -309,8 +334,9 @@ def load_record(path) -> AutomatonFile:
 def _checked_value(record: AutomatonFile):
     """(value, defect) of a record, checked as its constructor checks it:
     a qta's unitary defect or a dqta's isometry defect, with a unitary
-    dqta as a UnitaryDqta.  No gram product is computed twice."""
-    tau = Operator(record.matrix)
+    dqta as a UnitaryDqta.  No gram product is computed twice.  A
+    monomial matrix comes back carrying its form (linalg.carried)."""
+    tau = carried(record.matrix)
     defect = isometry_defect(tau)
     if record.kind == "qta":
         defect = check_defect(max(defect, isometry_defect(adjoint(tau))),
@@ -318,7 +344,7 @@ def _checked_value(record: AutomatonFile):
         return Qta(record.h, record.k, tau), defect
     check_defect(defect, "transition must be an isometry")
     if (record.k == record.l
-            and isometry_defect(adjoint(tau)) <= ISOMETRY_TOL):
+            and isometry_defect(adjoint(tau)) <= linalg.ISOMETRY_TOL):
         return UnitaryDqta(record.h, record.k, record.l, tau), defect
     return Dqta(record.h, record.k, record.l, tau), defect
 
@@ -341,7 +367,8 @@ def _read_dqta(command, *paths):
 
 def write_automaton(value, path, labels=None):
     """Write one automaton file after the loader's own label and transition
-    checks, so that every file written can be read back."""
+    checks, so that every file written can be read back; a transition whose
+    dense array exceeds physical memory is refused before any text."""
     if isinstance(value, Qta):
         record = {"kind": "qta", "h": value.h, "k": value.n}
         defect = unitary_defect(value.tau)
@@ -354,14 +381,19 @@ def write_automaton(value, path, labels=None):
                            record.get("l"), path)
     check_defect(defect, f"{path}: refusing to write a transition the "
                  "loader would reject")
-    record["matrix"] = _matrix_to_entries(value.tau)
+    need = 16 * value.tau.rows * value.tau.cols
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(
+            f"{path}: refusing to write a {value.tau.rows}x{value.tau.cols} "
+            f"transition: reading it back needs {need / 2 ** 30:.1f} GiB, "
+            f"more than the {memory / 2 ** 30:.1f} GiB of physical memory")
+    # the text of json.dumps(record) with "matrix" and "labels" appended
+    parts = [json.dumps(record)[:-1], ', "matrix": ', _matrix_text(value.tau)]
     if labels is not None:
-        record["labels"] = labels
+        parts += [', "labels": ', json.dumps(labels)]
     with open(path, "w") as fh:
-        # json.dumps encodes in C in one pass; json.dump streams through
-        # the pure-Python encoder, several times slower on large matrices
-        fh.write(json.dumps(record))
-        fh.write("\n")
+        fh.writelines(parts + ["}\n"])
 
 
 # ------------------------------------------------------------- cell builders
@@ -406,10 +438,7 @@ def _rule_permutation(states, h, pairs):
     if targets != set(mapping):
         raise ValueError("rule table is not a bijection: listed sources and "
                          "targets must cover the same configurations")
-    mat = np.zeros((n, n))
-    for src in range(n):
-        mat[mapping.get(src, src), src] = 1.0
-    return Operator(mat)
+    return monomial(n, [mapping.get(src, src) for src in range(n)])
 
 
 def build_cell(states, alphabet_bits, rule=None) -> UnitaryDqta:
@@ -489,13 +518,17 @@ def simulate(q, initial, steps) -> SimulationTrace:
             raise ValueError(f"initial state must have length {h * n}, "
                              f"got {v.shape[0]}")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > ISOMETRY_TOL:
+        if abs(norm - 1.0) > linalg.ISOMETRY_TOL:
             raise ValueError(f"initial state norm {norm:.12g} is not 1")
     masses = []
     norms = []
     for step in range(steps + 1):
-        if step > 0:
+        if step > 0 and tau.form is None:
             v = tau.mat @ v
+        elif step > 0:  # a square carried form: scatter v[target] = phase v
+            w = np.empty_like(v)
+            w[tau.form[0]] = tau.form[1] * v
+            v = w
         per = np.abs(v.reshape(h, n)) ** 2
         summed = per.sum(axis=0)
         masses.append(tuple(float(x) for x in summed))

@@ -14,7 +14,11 @@ sum, state spaces by tensor product.  Three composition styles:
                  form feedback from the trace module, taken over H (x) U.
 
 All three work on (h, l, h, k) views of transitions: cascade contracts
-two, turing_tensor writes two into one, feedback_dqta slices one.
+two, turing_tensor writes two into one, feedback_dqta slices one.  When
+every operand's transition carries a monomial form (see linalg),
+turing_tensor composes the target maps instead, and feedback_dqta relabels
+the form into the block layout and follows paths (trace.path_feedback);
+cascade stays dense.
 
 Matrix conventions follow linalg: the state factor H is always the outer
 (slow) tensor factor, and interface summands concatenate in declaration
@@ -36,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
-    ISOMETRY_TOL,
     Operator,
     ShapeError,
     adjoint,
@@ -45,11 +49,12 @@ from .linalg import (
     identity,
     isometry_defect,
     kron,
+    monomial,
     op_distance,
     sum_swap,
     unitary_defect,
 )
-from .trace import closed_form
+from .trace import closed_form, path_feedback
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,20 @@ def turing_tensor(t1: Dqta, t2: Dqta) -> Dqta:
     """
     h1, h2 = t1.h, t2.h
     k, l = t1.k + t2.k, t1.l + t2.l
+    if t1.tau.form is not None and t2.tau.form is not None:
+        # column (a', b', j) of t1's summand goes to row (a, b', y) when t1
+        # sends (a', j) to (a, y), and likewise on t2's summand
+        (g1, p1), (g2, p2) = t1.tau.form, t2.tau.form
+        a, y = np.divmod(g1.reshape(h1, 1, t1.k), t1.l)
+        b, z = np.divmod(g2.reshape(1, h2, t2.k), t2.l)
+        target = np.empty((h1, h2, k), dtype=np.intp)
+        phase = np.empty((h1, h2, k), dtype=complex)
+        target[..., :t1.k] = (a * h2 + np.arange(h2)[:, None]) * l + y
+        target[..., t1.k:] = (np.arange(h1)[:, None, None] * h2 + b) * l + t1.l + z
+        phase[..., :t1.k] = p1.reshape(h1, 1, t1.k)
+        phase[..., t1.k:] = p2.reshape(1, h2, t2.k)
+        tau = monomial(h1 * h2 * l, target.reshape(-1), phase.reshape(-1))
+        return _kind(t1, t2)(h1 * h2, k, l, tau)
     tau = np.zeros((h1, h2, l, h1, h2, k), dtype=complex)
     b = np.arange(h2)
     tau[:, b, :t1.l, :, b, :t1.k] = t1.tau.mat.reshape(h1, t1.l, h1, t1.k)
@@ -147,6 +166,15 @@ def feedback_dqta(t: Dqta, u: int) -> Dqta:
     if u < 0 or u > t.k or u > t.l:
         raise ShapeError(f"feedback dim {u} exceeds interfaces ({t.k}, {t.l})")
     h, k, l = t.h, t.k - u, t.l - u
+    if t.tau.form is not None:
+        # the same blocks in that layout: loop columns (x < u) first, and
+        # row (a, y) of the view at a * u + y or h * u + a * l + y - u
+        target, phase = t.tau.form
+        cols = np.argsort(np.arange(h * t.k) % t.k >= u, kind="stable")
+        a, y = np.divmod(target[cols], t.l)
+        rows = np.where(y < u, a * u + y, h * u + a * l + y - u)
+        tau = monomial(h * t.l, rows, phase[cols])
+        return _kind(t)(h, k, l, path_feedback(tau, h * u))
     tau = t.tau.mat.reshape(h, t.l, h, t.k)
     a = tau[:, :u, :, :u].reshape(h * u, h * u)
     b = tau[:, u:, :, :u].reshape(h * l, h * u)
@@ -190,7 +218,7 @@ def witnessed_distance(t1: Dqta, t2: Dqta, sigma: Operator) -> float:
 def iso_witness_check(t1: Dqta, t2: Dqta, sigma: Operator) -> bool:
     """Does sigma witness t1 and t2 as the same machine within
     ISOMETRY_TOL?"""
-    return witnessed_distance(t1, t2, sigma) <= ISOMETRY_TOL
+    return witnessed_distance(t1, t2, sigma) <= linalg.ISOMETRY_TOL
 
 
 def dagger_dqta(t: Dqta) -> UnitaryDqta:

@@ -17,18 +17,18 @@ the name of the forward/backward pair t (+) dagger(t).
 Every operation reduces to dqta-module algebra plus routing by index
 maps: summands are relabelled by gathering the carrier's rows and columns
 through linalg.summand_index, never by multiplying with a permutation
-matrix.  No isomorphism search, no symbolic structure.
+matrix; on a carried monomial form the gather composes the index with the
+target map.  No isomorphism search, no symbolic structure.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .linalg import (
     Operator,
     ShapeError,
     check_defect,
     dsum,
+    gather,
     identity,
     sum_swap,
     summand_index,
@@ -91,7 +91,7 @@ def _reorder(t, in_dims, in_order, out_dims, out_order) -> Operator:
     given orders of the old summands."""
     rows = summand_index(t.h, out_dims, out_order)
     cols = summand_index(t.h, in_dims, in_order)
-    return Operator(t.tau.mat[np.ix_(rows, cols)])
+    return gather(t.tau, rows, cols)
 
 
 def int_identity(k: int) -> Int0Morphism:

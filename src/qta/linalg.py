@@ -1,4 +1,4 @@
-"""Dense complex operator kernel.
+"""Complex operator kernel.
 
 Conventions fixed here once and relied on by every other module:
 
@@ -10,8 +10,15 @@ Conventions fixed here once and relied on by every other module:
 * the basis of a direct sum is the concatenation of the summand bases,
   left summand first;
 * routing is by gather: ``summand_index`` lists basis indices in their
-  new order, so ``tau.mat[np.ix_(rows, cols)]`` relabels a transition's
-  summands without a permutation matrix or any arithmetic.
+  new order, so ``gather(tau, rows, cols)`` relabels a transition's
+  summands without a permutation matrix or any arithmetic;
+* carried forms: an operator with one nonzero entry per column, in
+  distinct rows (a partial injection with phases), may carry ``form =
+  (target, phase)``, column j being phase[j] times basis vector
+  target[j].  ``monomial``, ``identity``, the swaps and ``carried`` (exact
+  detection) build them; ``adjoint`` (square), ``kron``, ``dsum``,
+  ``gather`` and the defects do index arithmetic when every operand
+  carries one.  ``.mat`` of a carried form is built when first read.
 
 All rank decisions (pseudoinverse cutoffs, kernel dimensions) use a
 relative singular value threshold ``RANK_TOL * sigma_max`` so they are scale
@@ -60,9 +67,10 @@ class Operator:
     The wrapped matrix has shape (rows, cols) = (codomain dim, domain dim)
     and acts on column vectors.  Entries must be finite.  The array is
     copied in and marked read-only, so instances may be shared freely.
+    ``form`` is the carried form or None (see the module docstring).
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "form", "shape")
 
     def __init__(self, entries):
         mat = np.array(entries, dtype=complex)
@@ -73,21 +81,56 @@ class Operator:
             raise ValueError("operator entries must be finite")
         mat.setflags(write=False)
         self.mat = mat
+        self.form = None
+        self.shape = mat.shape
 
-    @property
-    def rows(self) -> int:
-        return self.mat.shape[0]
+    def __getattr__(self, name):
+        # reached only through the unset mat slot of a carried form
+        if name != "mat":
+            raise AttributeError(name)
+        target, phase = self.form
+        mat = np.zeros(self.shape, dtype=complex)
+        mat[target, np.arange(len(target))] = phase
+        mat.setflags(write=False)
+        self.mat = mat
+        return mat
 
-    @property
-    def cols(self) -> int:
-        return self.mat.shape[1]
+    rows = property(lambda self: self.shape[0])
+    cols = property(lambda self: self.shape[1])
 
     def __repr__(self):
         return f"Operator({self.rows}x{self.cols})"
 
 
+def monomial(rows: int, target, phase=None) -> Operator:
+    """The operator carrying the form (target, phase), phase 1 when
+    omitted; the caller vouches that the targets are distinct."""
+    f = Operator.__new__(Operator)
+    target = np.asarray(target, dtype=np.intp)
+    f.form = (target, np.ones(len(target), dtype=complex) if phase is None
+              else np.asarray(phase, dtype=complex))
+    f.shape = (rows, len(target))
+    return f
+
+
+def carried(mat) -> Operator:
+    """Operator(mat), carrying its form when mat has exactly one nonzero
+    entry in each column, in distinct rows, and every other entry is +0.0,
+    so that the form gives mat back bit for bit.  No tolerance."""
+    f = Operator(mat)
+    nonzero = f.mat != 0
+    if f.mat.size == 0 or not np.all(nonzero.sum(axis=0) == 1):
+        return f
+    target = nonzero.argmax(axis=0)
+    phase = f.mat[target, np.arange(f.cols)]
+    if (np.unique(target).size == f.cols and np.count_nonzero(
+            f.mat.view(np.int64)) == np.count_nonzero(phase.view(np.int64))):
+        f.form = (target, phase)
+    return f
+
+
 def identity(n: int) -> Operator:
-    return Operator(np.eye(n))
+    return monomial(n, np.arange(n))
 
 
 def zeros(rows: int, cols: int) -> Operator:
@@ -96,16 +139,27 @@ def zeros(rows: int, cols: int) -> Operator:
 
 def adjoint(f: Operator) -> Operator:
     """Conjugate transpose."""
+    if f.form is not None and f.rows == f.cols:
+        source = np.argsort(f.form[0])
+        return monomial(f.rows, source, f.form[1][source].conj())
     return Operator(f.mat.conj().T)
 
 
 def kron(f: Operator, g: Operator) -> Operator:
     """Multiplicative tensor with f's indices outermost."""
+    if f.form is not None and g.form is not None:
+        (tf, pf), (tg, pg) = f.form, g.form
+        return monomial(f.rows * g.rows, (tf[:, None] * g.rows + tg).reshape(-1),
+                        (pf[:, None] * pg).reshape(-1))
     return Operator(np.kron(f.mat, g.mat))
 
 
 def dsum(f: Operator, g: Operator) -> Operator:
     """Additive tensor: block diagonal operator, f's summand first."""
+    if f.form is not None and g.form is not None:
+        return monomial(f.rows + g.rows,
+                        np.concatenate([f.form[0], g.form[0] + f.rows]),
+                        np.concatenate([f.form[1], g.form[1]]))
     out = np.zeros((f.rows + g.rows, f.cols + g.cols), dtype=complex)
     out[:f.rows, :f.cols] = f.mat
     out[f.rows:, f.cols:] = g.mat
@@ -126,19 +180,23 @@ def summand_index(h: int, dims, order) -> np.ndarray:
     return (offsets[-1] * np.arange(h)[:, None] + inner).reshape(-1)
 
 
-def _permutation(index) -> Operator:
-    """The operator sending v to v[index]."""
-    return Operator(np.eye(len(index))[index])
+def gather(f: Operator, rows, cols) -> Operator:
+    """f.mat[np.ix_(rows, cols)], where rows lists every row of f once."""
+    if f.form is not None:
+        position = np.empty(f.rows, dtype=np.intp)
+        position[rows] = np.arange(f.rows)
+        return monomial(f.rows, position[f.form[0][cols]], f.form[1][cols])
+    return Operator(f.mat[np.ix_(rows, cols)])
 
 
 def tensor_swap(m: int, n: int) -> Operator:
     """Symmetry of the multiplicative tensor, sending basis (i, j) to (j, i)."""
-    return _permutation(np.arange(m * n).reshape(m, n).T.reshape(-1))
+    return monomial(m * n, np.arange(m * n).reshape(n, m).T.reshape(-1))
 
 
 def sum_swap(m: int, n: int) -> Operator:
     """Symmetry of the additive tensor, the block antidiagonal [[0, I], [I, 0]]."""
-    return _permutation(summand_index(1, [m, n], [1, 0]))
+    return monomial(m + n, np.concatenate([np.arange(n, n + m), np.arange(n)]))
 
 
 def _certified_inverse(mat: np.ndarray):
@@ -212,9 +270,13 @@ def mp_inverse(f: Operator) -> Operator:
 
 
 def isometry_defect(f: Operator) -> float:
-    """max|f^dagger f - I|; zero exactly when f has orthonormal columns."""
+    """max|f^dagger f - I|; zero exactly when f has orthonormal columns.
+    On a carried form f^dagger f is diagonal: max| |phase|^2 - 1 |."""
     if f.cols == 0:
         return 0.0
+    if f.form is not None:
+        phase = f.form[1]
+        return float(np.max(np.abs(phase.real ** 2 + phase.imag ** 2 - 1.0)))
     g = f.mat.conj().T @ f.mat
     return float(np.max(np.abs(g - np.eye(f.cols))))
 

@@ -5,7 +5,8 @@ Three semantics for closing the U loop of an isometric block operator:
 * ``schur_feedback``: the closed form D + B (I - A)^+ C, with the
   Moore-Penrose inverse supplying the Schur-style complement of (I - A).
   This is the reference implementation; it sends isometries to isometries.
-  ``closed_form`` is the same formula on the four blocks, unchecked.
+  ``closed_form`` is the same formula on the four blocks, unchecked, and
+  ``path_feedback`` is the same formula on a carried monomial form.
 * ``kleene_feedback``: the limit of D + B (I + A + ... + A^n) C, reported
   with an explicit convergence witness.  Divergence is reported, never
   silently averaged; Cesaro averaging of the partial sums is opt-in.
@@ -27,6 +28,11 @@ C = (I - A) Q for some P, Q.  For every G with (I - A) G (I - A) = I - A,
 B G C = P (I - A) Q, whichever G is taken.  The Moore-Penrose inverse is
 one such G, and so is the plain inverse when I - A is invertible, which
 is what lets ``linalg.mp_inverse`` answer with an LU inverse there.
+
+On a monomial isometry (a partial injection with phases) the closed form
+is Girard's execution formula, ``path_feedback``: loop columns that no
+input reaches, among them every cycle and so ker(I - A), are dropped, and
+no rank decision is taken.
 """
 
 from __future__ import annotations
@@ -35,12 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
-    ISOMETRY_TOL,
     Operator,
     ShapeError,
     check_defect,
     isometry_defect,
+    monomial,
     mp_inverse,
 )
 
@@ -103,13 +110,33 @@ def closed_form(a, b, c, d) -> Operator:
     return Operator(d + b @ pinv.mat @ c)
 
 
+def path_feedback(f: Operator, u: int) -> Operator:
+    """closed_form of a carried f: U (+) K -> U (+) L, carried.  Each
+    input column walks through loop columns, multiplying phases, until its
+    row leaves U; targets are distinct, so no path enters a cycle or meets
+    a loop column twice, and every path leaves within u steps."""
+    target, phase = f.form
+    rows, phases = target[u:].copy(), phase[u:].copy()
+    for _ in range(u):
+        inside = np.flatnonzero(rows < u)
+        if inside.size == 0:
+            break
+        loop = rows[inside]
+        phases[inside] = phase[loop] * phases[inside]
+        rows[inside] = target[loop]
+    return monomial(f.rows - u, rows - u, phases)
+
+
 def schur_feedback(m: BlockMap) -> Operator:
     """Close the U loop: D + B (I - A)^+ C.
 
     The input must be an isometry within ISOMETRY_TOL.  The output's
     isometry defect is input-limited: it grows as I - A nears singularity.
+    A carried form is closed by path_feedback.
     """
     check_defect(isometry_defect(m.op), "feedback input must be an isometry")
+    if m.op.form is not None:
+        return path_feedback(m.op, m.u)
     return closed_form(*(block.mat for block in split_blocks(m)))
 
 
@@ -173,7 +200,7 @@ def kernel_image_trace(m: BlockMap) -> Operator:
     pinv = mp_inverse(Operator(n)).mat
     k_factor = b.mat @ pinv          # minimal-norm solution of B = k (I - A)
     i_factor = pinv @ c.mat          # minimal-norm solution of C = (I - A) i
-    bound = FACTOR_SLACK * ISOMETRY_TOL
+    bound = FACTOR_SLACK * linalg.ISOMETRY_TOL
     res_b = float(np.max(np.abs(k_factor @ n - b.mat))) if b.mat.size else 0.0
     res_c = float(np.max(np.abs(n @ i_factor - c.mat))) if c.mat.size else 0.0
     if res_b > bound or res_c > bound:

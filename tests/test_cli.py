@@ -35,6 +35,7 @@ from qta.linalg import (
     identity,
     isometry_defect,
     kron,
+    monomial,
     op_distance,
     random_isometry,
     sum_swap,
@@ -42,6 +43,7 @@ from qta.linalg import (
     unitary_defect,
 )
 from test_dqta import gather_feedback
+from test_linalg import dense, random_monomial
 from test_trace import theta_blockmap
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -90,6 +92,54 @@ def test_non_isometric_matrix_is_rejected_with_defect(tmp_path):
                    "matrix": [[[0.5, 0.0]]]}, fh)
     with pytest.raises(IsometryError, match="defect"):
         parse_automaton(path)
+
+
+# phases whose parts include -0.0, on a 4x3 form with an empty row
+SIGNED = monomial(4, [3, 0, 1], [complex(-0.0, 1.0), complex(1.0, -0.0),
+                                 complex(-0.6, -0.8)])
+
+
+@pytest.mark.parametrize("value, labels", [
+    (Dqta(1, 3, 4, SIGNED), {"input": ("a", "b", "c"),
+                             "output": ("p", "q", "r", "s")}),
+    (Dqta(2, 2, 2, monomial(4, [2, 0, 3, 1], [-1.0, complex(-0.0, -1.0), 1j,
+                                             complex(0.8, -0.6)])), None),
+    (Qta(1, 3, monomial(3, [1, 2, 0], [-1.0, 1j, complex(-0.0, -1.0)])),
+     ("x", "y", "z")),
+    (Dqta(1, 0, 2, monomial(2, [])), None),
+])
+def test_writer_builds_the_text_of_the_materialized_record(tmp_path, value,
+                                                           labels):
+    path = str(tmp_path / "t.json")
+    write_automaton(value, path, labels)
+    mat = value.tau.mat
+    record = {"kind": "qta", "h": value.h, "k": value.n} if isinstance(
+        value, Qta) else {"kind": "dqta", "h": value.h, "k": value.k,
+                          "l": value.l}
+    record["matrix"] = np.stack([mat.real, mat.imag], axis=-1).tolist()
+    if labels is not None:
+        record["labels"] = labels
+    with open(path) as fh:
+        assert fh.read() == json.dumps(record) + "\n"
+
+
+def two_by_two_file(tmp_path, matrix):
+    return write_text(tmp_path, json.dumps(
+        {"kind": "dqta", "h": 1, "k": 2, "l": 2, "matrix": matrix}))
+
+
+def test_loader_carries_the_form_of_a_monomial_file_exactly(tmp_path):
+    swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    assert parse_automaton(two_by_two_file(tmp_path, swap)).tau.form is not None
+    swap[0][0] = [1e-300, 0.0]
+    assert parse_automaton(two_by_two_file(tmp_path, swap)).tau.form is None
+    # a repeated target row: tau^dagger tau = [[1, 1], [1, 1]]
+    repeated = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    record = load_record(two_by_two_file(tmp_path, repeated))
+    assert linalg.carried(record.matrix).form is None
+    with pytest.raises(IsometryError) as err:
+        parse_automaton(two_by_two_file(tmp_path, repeated))
+    assert err.value.defect == 1.0
 
 
 def test_malformed_json_reports_position(tmp_path):
@@ -529,6 +579,21 @@ def test_simulation_accepts_state_vectors_and_checks_norm():
         simulate(cell, np.ones(3), 1)
 
 
+@pytest.mark.parametrize("phased", [False, True])
+def test_simulation_of_a_carried_form_equals_the_dense_product(phased):
+    rng = np.random.default_rng(3)
+    tau = random_monomial(rng, 24, 24, phased)
+    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    v /= np.linalg.norm(v)
+    for start in ((5, 2), v):
+        out = simulate(UnitaryDqta(4, 6, 6, tau), start, 50)
+        ref = simulate(UnitaryDqta(4, 6, 6, dense(tau)), start, 50)
+        if phased:
+            assert np.allclose(out.masses, ref.masses, rtol=0, atol=1e-12)
+        else:
+            assert out == ref
+
+
 def test_simulation_rejects_rectangular_automata():
     with pytest.raises(ValueError, match="square"):
         simulate(rand_dqta(1, 2, 3, 0), (0, 0), 1)
@@ -722,6 +787,28 @@ def test_cell_and_chain_commands(tmp_path, capsys):
     assert run_command(["chain", cell, "--n", "2", "--ring", "-o", ring]) == 0
     assert parse_automaton(ring).k == 0
     capsys.readouterr()
+
+
+def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
+    # side 4 * 4 ** 8 = 262144: the carried chain takes tens of megabytes,
+    # a dense copy would take 1 TiB
+    cell = str(tmp_path / "cell.json")
+    assert run_command(["cell", "--states", "2", "--bits", "2",
+                        "-o", cell]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "seg.json")
+    tracemalloc.start()
+    try:
+        code = run_command(["chain", cell, "--n", "8", "-o", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: refusing to write a 262144x262144 "
+                          "transition: reading it back needs 1024.0 GiB")
+    assert not os.path.exists(out)
+    assert peak < 2 ** 27
 
 
 def test_chain_command_requires_labels(tmp_path, capsys):

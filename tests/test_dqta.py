@@ -15,6 +15,7 @@ from qta.linalg import (
     unitary_defect,
 )
 from qta.trace import BlockMap, schur_feedback
+from test_linalg import dense, random_monomial
 from test_trace import theta_blockmap
 from qta.dqta import (
     Dqta,
@@ -236,6 +237,27 @@ def test_feedback_slices_equal_the_gathered_block_map(h, k, l):
             out = feedback_dqta(t, u)
             assert (out.h, out.k, out.l) == (h, k - u, l - u)
             assert np.array_equal(out.tau.mat, gather_feedback(t, u).tau.mat)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("k, l", [(1, 2), (2, 3), (3, 5), (0, 2), (3, 3)])
+def test_carried_forms_tensor_and_close_as_the_dense_code(h, k, l):
+    rng = np.random.default_rng(100 * h + 10 * k + l)
+    for phased in (False, True):
+        t1 = Dqta(h, k, l, random_monomial(rng, h * l, h * k, phased))
+        t2 = Dqta(2, l, l, random_monomial(rng, 2 * l, 2 * l, phased))
+        out = turing_tensor(t1, t2)
+        ref = turing_tensor(Dqta(h, k, l, dense(t1.tau)),
+                            Dqta(2, l, l, dense(t2.tau)))
+        assert out.tau.form is not None and ref.tau.form is None
+        assert np.array_equal(out.tau.mat, ref.tau.mat)
+        for u in range(min(k, l) + 1):
+            closed = feedback_dqta(t1, u)
+            ref = feedback_dqta(Dqta(h, k, l, dense(t1.tau)), u)
+            assert closed.tau.form is not None
+            assert op_distance(closed.tau, ref.tau) <= 1e-12
+            if not phased:
+                assert np.array_equal(closed.tau.mat, ref.tau.mat)
 
 
 # ------------------------------------------------------------ trace axioms

@@ -14,7 +14,8 @@ import pytest
 
 from qta import linalg
 from qta.cli import load_record, parse_automaton, run_command, write_automaton
-from qta.dqta import Dqta, dagger_dqta, make_dqta, make_unitary_dqta
+from qta.dqta import (Dqta, UnitaryDqta, dagger_dqta, make_dqta,
+                      make_unitary_dqta)
 from qta.intcat import make_qta
 from qta.linalg import IsometryError, Operator
 from qta.trace import BlockMap, kernel_image_trace, kleene_feedback, schur_feedback
@@ -63,6 +64,12 @@ def test_boundary_reads_the_threshold_from_linalg(boundary, tmp_path,
                                                   monkeypatch):
     monkeypatch.setattr(linalg, "ISOMETRY_TOL", 2.0)
     BOUNDARIES[boundary](tmp_path)
+
+
+def test_unitary_inference_reads_the_threshold_from_linalg(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(linalg, "ISOMETRY_TOL", 2.0)
+    assert type(_load(tmp_path)) is UnitaryDqta
 
 
 @pytest.mark.parametrize("labels", [

@@ -7,11 +7,14 @@ from qta.linalg import (
     Operator,
     ShapeError,
     adjoint,
+    carried,
     dsum,
+    gather,
     identity,
     isometry_defect,
     kernel_on_top,
     kron,
+    monomial,
     mp_inverse,
     op_distance,
     random_isometry,
@@ -396,3 +399,68 @@ def test_random_isometry_defect():
         assert isometry_defect(f) <= 1e-12
         u = random_isometry(5, 5, seed)
         assert unitary_defect(u) <= 1e-12
+
+
+# ------------------------------------------------------------ carried forms
+
+def random_monomial(rng, rows, cols, phased=True):
+    """A carried form on distinct random targets, with random unit phases
+    (all 1 unless phased)."""
+    phase = np.exp(2j * np.pi * rng.random(cols)) if phased else None
+    return monomial(rows, rng.permutation(rows)[:cols], phase)
+
+
+def dense(f):
+    """The same operator without its carried form."""
+    return Operator(f.mat)
+
+
+def test_operator_built_from_entries_carries_no_form():
+    assert Operator(np.eye(3)).form is None
+
+
+def test_identity_and_swaps_carry_their_dense_matrices():
+    assert np.array_equal(identity(4).mat, np.eye(4))
+    assert np.array_equal(sum_swap(2, 3).mat, np.eye(5)[[2, 3, 4, 0, 1]])
+    assert np.array_equal(tensor_swap(2, 3).mat, np.eye(6)[[0, 3, 1, 4, 2, 5]])
+    for f in (identity(4), sum_swap(2, 3), tensor_swap(2, 3), identity(0)):
+        assert f.form is not None
+        assert not f.mat.flags.writeable
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_carried_forms_match_the_dense_operations(seed):
+    rng = np.random.default_rng(seed)
+    f, g = random_monomial(rng, 5, 3), random_monomial(rng, 4, 4, seed % 2)
+    rows, cols = rng.permutation(5), rng.permutation(3)[:2]
+    pairs = [(kron(f, g), kron(dense(f), dense(g))),
+             (dsum(f, g), dsum(dense(f), dense(g))),
+             (adjoint(g), adjoint(dense(g))),
+             (gather(f, rows, cols), gather(dense(f), rows, cols))]
+    for out, ref in pairs:
+        assert out.form is not None and ref.form is None
+        assert np.array_equal(out.mat, ref.mat)
+    assert adjoint(f).form is None  # not square: no form
+    assert np.array_equal(adjoint(f).mat, adjoint(dense(f)).mat)
+    for op in (f, g):
+        assert abs(isometry_defect(op) - isometry_defect(dense(op))) <= 1e-15
+    assert abs(unitary_defect(g) - unitary_defect(dense(g))) <= 1e-15
+    scaled = monomial(3, [2, 0, 1], [1.5, -1.0, 1j])
+    assert isometry_defect(scaled) == isometry_defect(dense(scaled)) == 1.25
+
+
+def test_carried_detects_monomials_exactly():
+    mat = np.array([[0, -1j, 0], [0, 0, 0], [0.6 - 0.8j, 0, 0], [0, 0, 1]])
+    f = carried(mat)
+    assert f.form is not None
+    assert f.form[0].tolist() == [2, 0, 3]
+    again = monomial(4, *f.form).mat
+    assert np.array_equal(again.view(np.int64), mat.astype(complex).view(np.int64))
+    extra = mat.astype(complex)
+    extra[1, 0] = 1e-300
+    repeated = np.array([[1.0, 1.0], [0.0, 0.0]])
+    negative_zero = mat.astype(complex)
+    negative_zero[1, 1] = complex(-0.0, 0.0)
+    for m in (extra, repeated, negative_zero, np.zeros((2, 2)), np.zeros((0, 3))):
+        assert carried(m).form is None
+        assert np.array_equal(carried(m).mat, m)

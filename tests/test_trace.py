@@ -9,6 +9,7 @@ from qta.linalg import (
     adjoint,
     identity,
     isometry_defect,
+    monomial,
     op_distance,
     random_isometry,
     sum_swap,
@@ -18,8 +19,10 @@ from qta.trace import (
     BlockMap,
     ConvergenceReport,
     FactorizationError,
+    closed_form,
     kernel_image_trace,
     kleene_feedback,
+    path_feedback,
     scalar_star,
     schur_feedback,
     split_blocks,
@@ -299,3 +302,57 @@ def test_scalar_star_conway_identities():
     assert 1 * scalar_star(1 * 1) * 1 + 1 == 1.0
     assert scalar_star(1.0 + 1.0) == pytest.approx(-1.0)
     assert scalar_star(scalar_star(1.0) * 1.0) * scalar_star(1.0) == 0.0
+
+
+# ----------------------------------------------------------- path following
+
+def planted_monomial(rng, u, k, l, cycle, closing, modulus):
+    """A carried form U (+) K -> U (+) L (l >= k) in which `cycle` loop
+    columns form a loop cycle, whose phase product is exactly 1 when
+    closing (so I - A is singular) and random otherwise.  Other phases
+    are random with modulus 1, or in [0.8, 1.25] when not modulus."""
+    rows, cols = u + l, u + k
+    phase = np.exp(2j * np.pi * rng.random(cols))
+    if not modulus:
+        phase *= rng.uniform(0.8, 1.25, cols)
+    target = np.empty(cols, dtype=int)
+    ring = rng.permutation(u)[:cycle]
+    target[ring] = np.roll(ring, -1)
+    if closing and cycle:
+        # products of these four values are exact
+        phase[ring] = rng.choice([1, -1, 1j, -1j], cycle)
+        phase[ring[-1]] = np.prod(phase[ring[:-1]]).conjugate()
+    elif cycle:
+        phase[ring] = np.exp(2j * np.pi * rng.random(cycle))
+    rest = np.setdiff1d(np.arange(cols), ring)
+    free = rng.permutation(np.setdiff1d(np.arange(rows), ring))
+    target[rest] = free[:rest.size]
+    return monomial(rows, target, phase)
+
+
+FAMILY = [(u, k, l, cycle, closing, modulus)
+          for u, k, l in [(0, 3, 3), (1, 1, 1), (3, 2, 2), (5, 2, 4), (6, 3, 3),
+                          (4, 0, 2), (7, 0, 0), (8, 4, 5)]
+          for cycle in sorted({0, min(u, 1), min(u, 3), u})
+          for closing in (True, False) for modulus in (True, False)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_path_feedback_equals_the_closed_form(seed):
+    # loops of every length, cycles the SVD drops and cycles LU inverts,
+    # u = 0 and u = everything, unit and non-unit phases
+    rng = np.random.default_rng(seed)
+    for u, k, l, cycle, closing, modulus in FAMILY:
+        f = planted_monomial(rng, u, k, l, cycle, closing, modulus)
+        out = path_feedback(f, u)
+        mat = f.mat
+        ref = closed_form(mat[:u, :u], mat[u:, :u], mat[:u, u:], mat[u:, u:])
+        assert out.form is not None and out.shape == (l, k)
+        assert op_distance(out, ref) <= 1e-12, (u, k, l, cycle, closing)
+        loop = np.eye(u) - mat[:u, :u]
+        assert (np.linalg.matrix_rank(loop) < u) == (closing and cycle > 0)
+        if modulus:
+            carried_out = schur_feedback(BlockMap(f, u, k, l))
+            dense_out = schur_feedback(BlockMap(Operator(mat), u, k, l))
+            assert carried_out.form is not None and dense_out.form is None
+            assert op_distance(carried_out, dense_out) <= 1e-12
