@@ -135,11 +135,10 @@ def instance_seed(seed: int, index: int) -> int:
     return int(root.generate_state(1)[0])
 
 
-def _run_law(law, cfg, eval_one):
+def _run_law(law, cfg, eval_one, seeds):
     worst_seed = cfg.seed
     max_v = 0.0
-    for i in range(cfg.instances):
-        s = instance_seed(cfg.seed, i)
+    for i, s in enumerate(seeds):
         v = float(eval_one(cfg, np.random.default_rng(s), i))
         if v > max_v:
             max_v, worst_seed = v, s
@@ -642,7 +641,8 @@ LAWS = (
 
 def run_checks(cfg: CheckConfig):
     """All reports for the configured law groups, in LAWS order."""
-    reports = [_run_law(law, cfg, evaluate)
+    seeds = [instance_seed(cfg.seed, i) for i in range(cfg.instances)]
+    reports = [_run_law(law, cfg, evaluate, seeds)
                for group, law, evaluate in LAWS if group in cfg.law_set]
     if "conway-counterexample" in cfg.law_set:
         reports.append(conway_counterexample(cfg))

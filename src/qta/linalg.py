@@ -28,6 +28,7 @@ invariant.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -175,8 +176,9 @@ def summand_index(h: int, dims, order) -> np.ndarray:
     a subset selects them, and concatenating the indices of [0], [1], ...
     gives the distributivity layout (H (x) D_0) (+) (H (x) D_1) (+) ...
     """
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    inner = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in order])
+    offsets = [0, *accumulate(map(int, dims))]
+    inner = np.array([i for j in order for i in range(offsets[j], offsets[j + 1])],
+                     dtype=np.intp)
     return (offsets[-1] * np.arange(h)[:, None] + inner).reshape(-1)
 
 
@@ -199,16 +201,10 @@ def sum_swap(m: int, n: int) -> Operator:
     return monomial(m + n, np.concatenate([np.arange(n, n + m), np.arange(n)]))
 
 
-def _certified_inverse(mat: np.ndarray):
-    """LU inverse of a square matrix, or None unless the certificate of
-    mp_inverse shows that the SVD would keep every singular value."""
-    a = np.abs(mat)
-    col, row = a.sum(axis=0), a.sum(axis=1)
-    # A zero row or column, the form a loop direction with eigenvalue
-    # exactly 1 takes on a basis vector, proves mat singular in O(n^2);
-    # LU would report it only after a full factorization.
-    if col.min() == 0.0 or row.min() == 0.0:
-        return None
+def _certified_inverse(mat: np.ndarray, col, row):
+    """LU inverse of a square matrix with abs column and row sums col and
+    row, or None unless the certificate of mp_inverse shows that the SVD
+    would keep every singular value."""
     try:
         x = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
@@ -228,17 +224,23 @@ def mp_inverse(f: Operator) -> Operator:
     Defined through the SVD: singular values above tol * sigma_max are
     inverted, the rest are zeroed, so a zero matrix maps to a zero matrix.
 
-    A square f that the SVD would keep at full rank has the plain inverse
+    Deflation.  Exactly zero rows and columns of f (a loop direction with
+    eigenvalue exactly 1 on a basis vector gives both) are dropped first,
+    and the pseudoinverse of the remaining block f' is scattered back at
+    (kept columns, kept rows): f is a permutation of f' (+) 0, and
+    (P f Q)^+ = Q^T f^+ P^T.  f and f' have the same nonzero singular
+    values, so the rank decision is unchanged.
+
+    A square f' that the SVD would keep at full rank has the plain inverse
     as its Moore-Penrose inverse, and an LU inverse X costs a fraction of
     the SVD.  X is returned when an O(n^2) certificate shows that the SVD
-    keeps every singular value; otherwise (non-square f, a zero row or
-    column, an exactly singular pivot, a non-finite X, a failed
-    certificate) the SVD formula runs unchanged, so every rank decision
-    is the SVD's.
+    keeps every singular value; otherwise (non-square f', an exactly
+    singular pivot, a non-finite X, a failed certificate) the SVD formula
+    runs unchanged on f', so every rank decision is the SVD's.
 
-    The certificate.  With e = n * eps for side n and machine epsilon
-    eps, and the norm bound kappa = sqrt(|X|_1 |X|_inf |f|_1 |f|_inf),
-    take X when
+    The certificate, on f' written f.  With e = n * eps for side n and
+    machine epsilon eps, and the norm bound kappa = sqrt(|X|_1 |X|_inf
+    |f|_1 |f|_inf), take X when
 
         2 * kappa * (tol + 2 e) <= 1,
 
@@ -256,17 +258,26 @@ def mp_inverse(f: Operator) -> Operator:
       s'_max <= (1 + e) s_max.  Then s'_min > tol * s'_max: the SVD
       would invert every singular value, and its result is the inverse.
     """
-    if f.mat.size == 0:
+    a = np.abs(f.mat)
+    col, row = a.sum(axis=0), a.sum(axis=1)
+    cols, rows = col != 0.0, row != 0.0
+    mat = f.mat
+    deflate = not (cols.all() and rows.all())
+    if deflate:
+        # removed rows and columns hold only zeros, so the kept sums stand
+        mat, col, row = mat[np.ix_(rows, cols)], col[cols], row[rows]
+    if mat.size == 0:
         return zeros(f.cols, f.rows)
-    if f.rows == f.cols:
-        x = _certified_inverse(f.mat)
-        if x is not None:
-            return Operator(x)
-    u, s, vh = np.linalg.svd(f.mat, full_matrices=False)
-    if s[0] <= 0.0:
-        return zeros(f.cols, f.rows)
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > RANK_TOL * s[0])
-    return Operator((vh.conj().T * inv) @ u.conj().T)
+    x = _certified_inverse(mat, col, row) if len(col) == len(row) else None
+    if x is None:
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > RANK_TOL * s[0])
+        x = (vh.conj().T * inv) @ u.conj().T
+    if deflate:
+        out = np.zeros((f.cols, f.rows), dtype=complex)
+        out[np.ix_(cols, rows)] = x
+        x = out
+    return Operator(x)
 
 
 def isometry_defect(f: Operator) -> float:

@@ -27,7 +27,10 @@ Hence ker(I - A) lies in ker B and ran C in ran(I - A): B = P (I - A) and
 C = (I - A) Q for some P, Q.  For every G with (I - A) G (I - A) = I - A,
 B G C = P (I - A) Q, whichever G is taken.  The Moore-Penrose inverse is
 one such G, and so is the plain inverse when I - A is invertible, which
-is what lets ``linalg.mp_inverse`` answer with an LU inverse there.
+is what lets ``linalg.mp_inverse`` answer with an LU inverse there.  A
+fixed loop direction that is a basis vector leaves I - A an exactly zero
+row and column, which ``mp_inverse`` deflates before the LU: the dense
+counterpart of ``path_feedback`` dropping the loop columns no input reaches.
 
 On a monomial isometry (a partial injection with phases) the closed form
 is Girard's execution formula, ``path_feedback``: loop columns that no

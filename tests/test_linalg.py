@@ -300,6 +300,18 @@ def test_mp_inverse_exactly_singular_and_non_square_inputs_use_svd():
     cases = [zeros(3, 3), zeros(0, 0), zeros(0, 4), zeros(3, 2),
              Operator([[1, 1], [1, 1]]),  # no zero row; LU hits a zero pivot
              rand_op(rng, 3, 5), rand_op(rng, 6, 2)]
+    for f in cases:
+        assert np.array_equal(mp_inverse(f).mat, svd_inverse(f))
+
+
+def test_mp_inverse_deflates_exactly_zero_rows_and_columns():
+    rng = np.random.default_rng(11)
+    off_row = rand_op(rng, 4, 3).mat.copy()
+    off_row[2] = 0.0
+    off_col = rand_op(rng, 3, 3).mat.copy()
+    off_col[:, 1] = 0.0
+    cases = [Operator([[0, 1], [0, 0]]),  # zero row 1, zero column 0
+             Operator(off_col), Operator(off_row)]
     for i in range(20):
         # loop block identity(r) (+) W, as in the kernel census
         r, u2 = int(rng.integers(1, 3)), int(rng.integers(0, 4))
@@ -307,7 +319,17 @@ def test_mp_inverse_exactly_singular_and_non_square_inputs_use_svd():
         kernel_map = dsum(identity(r), random_isometry(u2 + k, u2 + k, 300 + i))
         cases.append(loop_gap(kernel_map, r + u2))
     for f in cases:
-        assert np.array_equal(mp_inverse(f).mat, svd_inverse(f))
+        rows = np.flatnonzero(np.any(f.mat != 0, axis=1))
+        cols = np.flatnonzero(np.any(f.mat != 0, axis=0))
+        expected = np.zeros((f.cols, f.rows), dtype=complex)
+        expected[np.ix_(cols, rows)] = mp_inverse(
+            Operator(f.mat[np.ix_(rows, cols)])).mat
+        out, reference = mp_inverse(f).mat, svd_inverse(f)
+        assert np.array_equal(out, expected)
+        assert np.max(np.abs(out - reference)) <= 1e-12
+        assert (np.linalg.matrix_rank(out, tol=1e-3)
+                == np.linalg.matrix_rank(reference, tol=1e-3))
+    assert np.array_equal(mp_inverse(cases[0]).mat, [[0, 0], [1, 0]])
 
 
 # ----------------------------------------------------------- defect checks

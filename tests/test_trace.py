@@ -7,6 +7,7 @@ from qta.linalg import (
     Operator,
     ShapeError,
     adjoint,
+    dsum,
     identity,
     isometry_defect,
     monomial,
@@ -134,6 +135,22 @@ def test_schur_core_identity_when_invertible():
         assert op_distance(Operator(adjoint(s).mat @ s.mat), identity(k)) <= 1e-8
         assert op_distance(s, schur_feedback(m)) <= 1e-8
     assert checked >= 40
+
+
+def test_schur_on_a_basis_aligned_kernel_runs_no_svd(monkeypatch):
+    # identity(4) (+) Haar(60) at u = 32, the benchmark's singular family:
+    # I - A has four exactly zero rows and columns, which mp_inverse
+    # deflates before taking the LU path
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the SVD ran")
+
+    haar = random_isometry(60, 60, 31)
+    monkeypatch.setattr("qta.linalg.np.linalg.svd", no_svd)
+    out = schur_feedback(BlockMap(dsum(identity(4), haar), 32, 32, 32)).mat
+    w = haar.mat
+    a, c, b, d = w[:28, :28], w[:28, 28:], w[28:, :28], w[28:, 28:]
+    oracle = d + b @ np.linalg.solve(np.eye(28) - a, c)
+    assert np.max(np.abs(out - oracle)) <= 1e-12
 
 
 def theta_blockmap(theta):
