@@ -10,8 +10,9 @@ are validated against the interface dims and dropped before any algebra.
 The writer checks labels and transition with the loader's own code, so
 every file qta writes can be read back, and refuses a transition whose
 dense array (16 bytes per entry) exceeds physical memory before building
-any text.  The loader finds the carried form of a monomial matrix (see
-linalg), and the writer builds the text of a carried form from it.
+any text, or for qta cell before building the cell.  The loader finds the
+carried form of a monomial matrix (see linalg), and the writer builds the
+text of a carried form from it.
 
 The reader parses the matrix as one flat list of numbers and proves its
 [[[re, im], ...], ...] bracket structure separately (see _flat_matrix), so
@@ -49,6 +50,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -365,6 +367,19 @@ def _read_dqta(command, *paths):
     return [(record, _checked_value(record)[0]) for record in records]
 
 
+def _refuse_oversized(rows, cols, path):
+    """ValueError when the dense rows x cols array, 16 bytes per entry,
+    exceeds physical memory, so that a file of it could not be read back."""
+    need = 16 * rows * cols
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        # Decimal: an argument-sized need can be too large for a float
+        raise ValueError(
+            f"{path}: refusing to write a {rows}x{cols} transition: reading "
+            f"it back needs {Decimal(need) / 2 ** 30:.1f} GiB, more than the "
+            f"{memory / 2 ** 30:.1f} GiB of physical memory")
+
+
 def write_automaton(value, path, labels=None):
     """Write one automaton file after the loader's own label and transition
     checks, so that every file written can be read back; a transition whose
@@ -381,13 +396,7 @@ def write_automaton(value, path, labels=None):
                            record.get("l"), path)
     check_defect(defect, f"{path}: refusing to write a transition the "
                  "loader would reject")
-    need = 16 * value.tau.rows * value.tau.cols
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise ValueError(
-            f"{path}: refusing to write a {value.tau.rows}x{value.tau.cols} "
-            f"transition: reading it back needs {need / 2 ** 30:.1f} GiB, "
-            f"more than the {memory / 2 ** 30:.1f} GiB of physical memory")
+    _refuse_oversized(value.tau.rows, value.tau.cols, path)
     # the text of json.dumps(record) with "matrix" and "labels" appended
     parts = [json.dumps(record)[:-1], ', "matrix": ', _matrix_text(value.tau)]
     if labels is not None:
@@ -653,6 +662,10 @@ def _load_rule(path):
 
 
 def _cmd_cell(args):
+    if args.states > 0 and args.bits >= 0:
+        # refused from the arguments, before the cell's index map is built
+        side = 2 * args.states << args.bits
+        _refuse_oversized(side, side, args.output)
     rule = _load_rule(args.rule) if args.rule else None
     cell = build_cell(args.states, args.bits, rule)
     labels = {"input": cell_labels(args.states),

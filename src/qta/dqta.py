@@ -32,8 +32,8 @@ make_unitary_dqta and intcat.make_qta, in dagger_dqta when handed a plain
 Dqta, in the three trace entry points, on file load and before a file is
 written.  Feedback sends isometries to isometries and every other
 operation only routes or multiplies them, so operations here and in
-intcat build their results unchecked, returning a UnitaryDqta when every
-operand is one.
+intcat build their results unchecked (linalg.owned), returning a
+UnitaryDqta when every operand is one.
 """
 
 from dataclasses import dataclass
@@ -51,6 +51,7 @@ from .linalg import (
     kron,
     monomial,
     op_distance,
+    owned,
     sum_swap,
     unitary_defect,
 )
@@ -119,7 +120,7 @@ def cascade(t1: Dqta, t2: Dqta) -> Dqta:
     tau = np.einsum("ayAx,bzBy->abzABx",
                     t1.tau.mat.reshape(h1, t1.l, h1, t1.k),
                     t2.tau.mat.reshape(h2, t2.l, h2, t2.k))
-    tau = Operator(tau.reshape(h1 * h2 * t2.l, h1 * h2 * t1.k))
+    tau = owned(tau.reshape(h1 * h2 * t2.l, h1 * h2 * t1.k))
     return _kind(t1, t2)(h1 * h2, t1.k, t2.l, tau)
 
 
@@ -151,7 +152,7 @@ def turing_tensor(t1: Dqta, t2: Dqta) -> Dqta:
     tau[:, b, :t1.l, :, b, :t1.k] = t1.tau.mat.reshape(h1, t1.l, h1, t1.k)
     a = np.arange(h1)
     tau[a, :, t1.l:, a, :, t1.k:] = t2.tau.mat.reshape(h2, t2.l, h2, t2.k)
-    tau = Operator(tau.reshape(h1 * h2 * l, h1 * h2 * k))
+    tau = owned(tau.reshape(h1 * h2 * l, h1 * h2 * k))
     return _kind(t1, t2)(h1 * h2, k, l, tau)
 
 
@@ -212,7 +213,7 @@ def witnessed_distance(t1: Dqta, t2: Dqta, sigma: Operator) -> float:
     moved = (kron(sigma, identity(t1.l)).mat
              @ t1.tau.mat
              @ kron(adjoint(sigma), identity(t1.k)).mat)
-    return max(unitary_defect(sigma), op_distance(Operator(moved), t2.tau))
+    return max(unitary_defect(sigma), op_distance(owned(moved), t2.tau))
 
 
 def iso_witness_check(t1: Dqta, t2: Dqta, sigma: Operator) -> bool:

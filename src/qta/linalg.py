@@ -19,10 +19,13 @@ Conventions fixed here once and relied on by every other module:
   detection) build them; ``adjoint`` (square), ``kron``, ``dsum``,
   ``gather`` and the defects do index arithmetic when every operand
   carries one.  ``.mat`` of a carried form is built when first read.
+* two constructors: ``Operator(entries)`` copies and checks what comes
+  from outside (users, files); ``owned(mat)`` wraps a freshly computed
+  complex array as it is, for the results of the library's own
+  operations, which are trusted (see dqta on validation).
 
-All rank decisions (pseudoinverse cutoffs, kernel dimensions) use a
-relative singular value threshold ``RANK_TOL * sigma_max`` so they are scale
-invariant.
+The one rank decision, the pseudoinverse cutoff, uses a relative singular
+value threshold ``RANK_TOL * sigma_max`` so it is scale invariant.
 """
 
 from __future__ import annotations
@@ -66,8 +69,10 @@ class Operator:
     """A linear map between finite dimensional complex spaces.
 
     The wrapped matrix has shape (rows, cols) = (codomain dim, domain dim)
-    and acts on column vectors.  Entries must be finite.  The array is
-    copied in and marked read-only, so instances may be shared freely.
+    and acts on column vectors.  ``Operator(entries)``, for input from
+    outside the library, copies the entries in and checks that they form a
+    finite matrix; ``owned`` wraps the library's own results without either.
+    The array is read-only either way, so instances may be shared freely.
     ``form`` is the carried form or None (see the module docstring).
     """
 
@@ -81,9 +86,7 @@ class Operator:
         if mat.size and not np.all(np.isfinite(mat)):
             raise ValueError("operator entries must be finite")
         mat.setflags(write=False)
-        self.mat = mat
-        self.form = None
-        self.shape = mat.shape
+        self.mat, self.form, self.shape = mat, None, mat.shape
 
     def __getattr__(self, name):
         # reached only through the unset mat slot of a carried form
@@ -101,6 +104,16 @@ class Operator:
 
     def __repr__(self):
         return f"Operator({self.rows}x{self.cols})"
+
+
+def owned(mat: np.ndarray) -> Operator:
+    """The trusted constructor: wraps mat, a freshly computed complex
+    matrix that nothing else writes to, and marks it read-only; no copy,
+    no finite scan."""
+    mat.setflags(write=False)
+    f = Operator.__new__(Operator)
+    f.mat, f.form, f.shape = mat, None, mat.shape
+    return f
 
 
 def monomial(rows: int, target, phase=None) -> Operator:
@@ -135,7 +148,7 @@ def identity(n: int) -> Operator:
 
 
 def zeros(rows: int, cols: int) -> Operator:
-    return Operator(np.zeros((rows, cols)))
+    return owned(np.zeros((rows, cols), dtype=complex))
 
 
 def adjoint(f: Operator) -> Operator:
@@ -143,7 +156,7 @@ def adjoint(f: Operator) -> Operator:
     if f.form is not None and f.rows == f.cols:
         source = np.argsort(f.form[0])
         return monomial(f.rows, source, f.form[1][source].conj())
-    return Operator(f.mat.conj().T)
+    return owned(f.mat.conj().T)
 
 
 def kron(f: Operator, g: Operator) -> Operator:
@@ -152,7 +165,7 @@ def kron(f: Operator, g: Operator) -> Operator:
         (tf, pf), (tg, pg) = f.form, g.form
         return monomial(f.rows * g.rows, (tf[:, None] * g.rows + tg).reshape(-1),
                         (pf[:, None] * pg).reshape(-1))
-    return Operator(np.kron(f.mat, g.mat))
+    return owned(np.kron(f.mat, g.mat))
 
 
 def dsum(f: Operator, g: Operator) -> Operator:
@@ -164,7 +177,7 @@ def dsum(f: Operator, g: Operator) -> Operator:
     out = np.zeros((f.rows + g.rows, f.cols + g.cols), dtype=complex)
     out[:f.rows, :f.cols] = f.mat
     out[f.rows:, f.cols:] = g.mat
-    return Operator(out)
+    return owned(out)
 
 
 def summand_index(h: int, dims, order) -> np.ndarray:
@@ -188,7 +201,7 @@ def gather(f: Operator, rows, cols) -> Operator:
         position = np.empty(f.rows, dtype=np.intp)
         position[rows] = np.arange(f.rows)
         return monomial(f.rows, position[f.form[0][cols]], f.form[1][cols])
-    return Operator(f.mat[np.ix_(rows, cols)])
+    return owned(f.mat[np.ix_(rows, cols)])
 
 
 def tensor_swap(m: int, n: int) -> Operator:
@@ -277,7 +290,7 @@ def mp_inverse(f: Operator) -> Operator:
         out = np.zeros((f.cols, f.rows), dtype=complex)
         out[np.ix_(cols, rows)] = x
         x = out
-    return Operator(x)
+    return owned(x)
 
 
 def isometry_defect(f: Operator) -> float:
@@ -289,7 +302,8 @@ def isometry_defect(f: Operator) -> float:
         phase = f.form[1]
         return float(np.max(np.abs(phase.real ** 2 + phase.imag ** 2 - 1.0)))
     g = f.mat.conj().T @ f.mat
-    return float(np.max(np.abs(g - np.eye(f.cols))))
+    g.reshape(-1)[::f.cols + 1] -= 1.0  # a view: matmul returns C order
+    return float(np.abs(g).max())
 
 
 def unitary_defect(f: Operator) -> float:
@@ -306,30 +320,6 @@ def op_distance(f: Operator, g: Operator) -> float:
     if f.mat.size == 0:
         return 0.0
     return float(np.max(np.abs(f.mat - g.mat)))
-
-
-def kernel_on_top(a: Operator):
-    """Unitary similarity isolating ker(I - a) as the leading summand.
-
-    Returns (s, r) with s unitary and r = dim ker(I - a) at the relative
-    tolerance RANK_TOL, such that s (I - a) s^dagger has its first r rows
-    zero.
-    The kernel is computed from the SVD of (I - a), which stays robust when
-    a is not normal.
-    """
-    if a.rows != a.cols:
-        raise ShapeError(f"kernel_on_top needs a square operator, got {a.rows}x{a.cols}")
-    n = a.rows
-    if n == 0:
-        return identity(0), 0
-    m = np.eye(n) - a.mat
-    u, s, _ = np.linalg.svd(m)
-    if s[0] > 0.0:
-        r = int(np.count_nonzero(s <= RANK_TOL * s[0]))
-    else:
-        r = n  # a = I, everything is kernel
-    order = np.concatenate([np.arange(n - r, n), np.arange(n - r)]).astype(int)
-    return Operator(u[:, order].conj().T), r
 
 
 def random_isometry(rows: int, cols: int, seed) -> Operator:
@@ -352,4 +342,4 @@ def random_isometry(rows: int, cols: int, seed) -> Operator:
     d = np.diagonal(r)
     ph = np.where(np.abs(d) > 0, d, 1.0)
     ph = ph / np.abs(ph)
-    return Operator(q * ph)
+    return owned(q * ph)

@@ -52,6 +52,7 @@ from .linalg import (
     isometry_defect,
     monomial,
     mp_inverse,
+    owned,
 )
 
 # Residual allowance for the internal factorization checks, relative to the
@@ -95,22 +96,19 @@ class ConvergenceReport:
 
 
 def split_blocks(m: BlockMap):
-    """The four blocks (a, b, c, d) of the recorded split."""
-    u = m.u
-    mat = m.op.mat
-    a = Operator(mat[:u, :u])
-    c = Operator(mat[:u, u:])
-    b = Operator(mat[u:, :u])
-    d = Operator(mat[u:, u:])
-    return a, b, c, d
+    """The four blocks (a, b, c, d) of the recorded split, as contiguous
+    copies: products of the strided slices can differ in the last bit."""
+    u, mat = m.u, m.op.mat
+    blocks = mat[:u, :u], mat[u:, :u], mat[:u, u:], mat[u:, u:]
+    return tuple(owned(np.array(block)) for block in blocks)
 
 
 def closed_form(a, b, c, d) -> Operator:
     """D + B (I - A)^+ C on the four block arrays, unchecked: the caller
     vouches that they form an isometry, as the automaton algebra does for
     its transitions."""
-    pinv = mp_inverse(Operator(np.eye(len(a)) - a))
-    return Operator(d + b @ pinv.mat @ c)
+    pinv = mp_inverse(owned(np.eye(len(a)) - a))
+    return owned(d + b @ pinv.mat @ c)
 
 
 def path_feedback(f: Operator, u: int) -> Operator:
@@ -184,7 +182,7 @@ def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10,
         if residual <= tol:
             break
         power = a.mat @ power
-    out = Operator(d.mat + b.mat @ prev_mid @ c.mat)
+    out = owned(d.mat + b.mat @ prev_mid @ c.mat)
     return out, ConvergenceReport(steps=steps, residual=residual,
                                   converged=residual <= tol, mode=mode)
 
@@ -200,7 +198,7 @@ def kernel_image_trace(m: BlockMap) -> Operator:
     check_defect(isometry_defect(m.op), "feedback input must be an isometry")
     a, b, c, d = split_blocks(m)
     n = np.eye(m.u) - a.mat
-    pinv = mp_inverse(Operator(n)).mat
+    pinv = mp_inverse(owned(n)).mat
     k_factor = b.mat @ pinv          # minimal-norm solution of B = k (I - A)
     i_factor = pinv @ c.mat          # minimal-norm solution of C = (I - A) i
     bound = FACTOR_SLACK * linalg.ISOMETRY_TOL
@@ -214,7 +212,7 @@ def kernel_image_trace(m: BlockMap) -> Operator:
     via_i = d.mat + b.mat @ i_factor
     if via_k.size and float(np.max(np.abs(via_k - via_i))) > bound:
         raise FactorizationError("the two factor combinations disagree")
-    return Operator((via_k + via_i) / 2.0)
+    return owned((via_k + via_i) / 2.0)
 
 
 def scalar_star(c: complex) -> complex:

@@ -811,6 +811,24 @@ def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     assert peak < 2 ** 27
 
 
+@pytest.mark.parametrize("bits", [20, 600])
+def test_oversized_cell_is_refused_before_it_is_built(tmp_path, capsys, bits):
+    # side 2 * 2 ** 20: the cell's index map alone would take tens of
+    # megabytes; at 600 bits the side fits no array and no float
+    out = str(tmp_path / "cell.json")
+    tracemalloc.start()
+    try:
+        code = run_command(["cell", "--states", "1", "--bits", str(bits),
+                            "-o", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: refusing to write")
+    assert not os.path.exists(out)
+    assert peak < 2 ** 20
+
+
 def test_chain_command_requires_labels(tmp_path, capsys):
     plain = str(tmp_path / "plain.json")
     write_automaton(build_cell(2, 1), plain)

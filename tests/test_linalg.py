@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qta.cli import build_cell
+from qta.dqta import Dqta, cascade, feedback_dqta, turing_tensor
 from qta.linalg import (
     RANK_TOL,
     Operator,
@@ -12,7 +14,6 @@ from qta.linalg import (
     gather,
     identity,
     isometry_defect,
-    kernel_on_top,
     kron,
     monomial,
     mp_inverse,
@@ -23,6 +24,12 @@ from qta.linalg import (
     tensor_swap,
     unitary_defect,
     zeros,
+)
+from qta.trace import (
+    BlockMap,
+    kernel_image_trace,
+    kleene_feedback,
+    schur_feedback,
 )
 
 
@@ -48,6 +55,48 @@ def test_operator_is_read_only():
     op = Operator([[1.0]])
     with pytest.raises(ValueError):
         op.mat[0, 0] = 2.0
+
+
+def _dense_dqta(seed):
+    return Dqta(2, 2, 2, random_isometry(4, 4, seed))
+
+
+# every internal construction site on dense operands
+INTERNAL_RESULTS = {
+    "adjoint": lambda: adjoint(random_isometry(3, 2, 1)),
+    "kron": lambda: kron(random_isometry(2, 2, 1), random_isometry(3, 2, 2)),
+    "dsum": lambda: dsum(random_isometry(2, 2, 1), random_isometry(3, 2, 2)),
+    "gather": lambda: gather(random_isometry(3, 2, 1), [2, 0, 1], [1, 0]),
+    "mp_inverse-lu": lambda: mp_inverse(random_isometry(3, 3, 1)),
+    "mp_inverse-svd": lambda: mp_inverse(random_isometry(3, 2, 1)),
+    "schur_feedback": lambda: schur_feedback(
+        BlockMap(random_isometry(4, 3, 1), 1, 2, 3)),
+    "kernel_image_trace": lambda: kernel_image_trace(
+        BlockMap(random_isometry(4, 3, 1), 1, 2, 3)),
+    "kleene_feedback": lambda: kleene_feedback(
+        BlockMap(random_isometry(4, 3, 1), 1, 2, 3))[0],
+    "cascade": lambda: cascade(_dense_dqta(1), _dense_dqta(2)).tau,
+    "turing_tensor": lambda: turing_tensor(_dense_dqta(1), _dense_dqta(2)).tau,
+    "feedback_dqta": lambda: feedback_dqta(_dense_dqta(1), 1).tau,
+    "random_isometry": lambda: random_isometry(3, 2, 1),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTERNAL_RESULTS))
+def test_internal_results_are_read_only(site):
+    out = INTERNAL_RESULTS[site]()
+    assert out.form is None
+    assert not out.mat.flags.writeable
+
+
+def test_user_input_is_copied_and_left_writable():
+    arr = random_isometry(8, 8, 3).mat.copy()
+    before = arr.copy()
+    op = Operator(arr)
+    cell = build_cell(2, 1, rule=arr)
+    assert arr.flags.writeable and np.array_equal(arr, before)
+    assert not np.shares_memory(op.mat, arr)
+    assert not np.shares_memory(cell.tau.mat, arr)
 
 
 # ----------------------------------------------------------------- adjoint
@@ -348,53 +397,6 @@ def test_unitary_defect():
     # isometry that is not unitary would fail the square check before this
     f = Operator(np.diag([1.0, 0.5]))
     assert unitary_defect(f) == pytest.approx(0.75)
-
-
-# ------------------------------------------------------------ kernel_on_top
-
-def test_kernel_on_top_identity():
-    s, r = kernel_on_top(identity(3))
-    assert r == 3
-    assert unitary_defect(s) <= 1e-12
-
-
-def test_kernel_on_top_zero():
-    s, r = kernel_on_top(zeros(3, 3))
-    assert r == 0
-    assert unitary_defect(s) <= 1e-12
-
-
-def test_kernel_on_top_diagonal():
-    a = Operator(np.diag([1.0, 0.5]))
-    s, r = kernel_on_top(a)
-    assert r == 1
-    conj = s.mat @ (np.eye(2) - a.mat) @ s.mat.conj().T
-    assert np.allclose(conj, np.diag([0.0, 0.5]))
-
-
-def test_kernel_on_top_invariants():
-    rng = np.random.default_rng(10)
-    for i in range(30):
-        n = int(rng.integers(1, 7))
-        if i % 2 == 0 and n >= 2:
-            # plant an exact eigenvalue-1 eigenspace of dimension r < n;
-            # the complement keeps sigma_max of (I - a) at order 1 so the
-            # relative cutoff can see the planted kernel
-            r = int(rng.integers(1, n))
-            u = random_isometry(n, n, int(rng.integers(0, 2**31)))
-            core = rand_op(rng, n - r, n - r)
-            core = Operator(0.5 * core.mat / max(1.0, np.abs(core.mat).sum()))
-            a = Operator(u.mat @ dsum(identity(r), core).mat @ u.mat.conj().T)
-            expected_r = r
-        else:
-            a = Operator(0.3 * rand_op(rng, n, n).mat)
-            expected_r = 0
-        s, r_found = kernel_on_top(a)
-        assert r_found == expected_r
-        assert unitary_defect(s) <= 1e-10
-        conj = s.mat @ (np.eye(n) - a.mat) @ s.mat.conj().T
-        if r_found:
-            assert np.max(np.abs(conj[:r_found, :])) <= 10 * 1e-10
 
 
 # --------------------------------------------------------- random_isometry
