@@ -10,9 +10,10 @@ are validated against the interface dims and dropped before any algebra.
 The writer checks labels and transition with the loader's own code, so
 every file qta writes can be read back, and refuses a transition whose
 dense array (16 bytes per entry) exceeds physical memory before building
-any text, or for qta cell before building the cell.  The loader finds the
-carried form of a monomial matrix (see linalg), and the writer builds the
-text of a carried form from it.
+any text; cell, chain, compose, tensor and bidir's functor route refuse it
+from the dims of their valid arguments, before any algebra runs.  The
+loader finds the carried form of a monomial matrix (see linalg), and the
+writer builds the text of a carried form from it.
 
 The reader parses the matrix as one flat list of numbers and proves its
 [[[re, im], ...], ...] bracket structure separately (see _flat_matrix), so
@@ -547,11 +548,11 @@ def simulate(q, initial, steps) -> SimulationTrace:
 
 # ------------------------------------------------------------------ commands
 
-def _print_written(value, path):
-    if isinstance(value, Qta):
-        print(f"wrote {path}: qta h={value.h} k={value.n}")
-    else:
-        print(f"wrote {path}: dqta h={value.h} k={value.k} l={value.l}")
+def _write(value, path, labels):
+    """Write value to path and say so; the command's exit code."""
+    write_automaton(value, path, labels)
+    print(f"wrote {path}: dqta h={value.h} k={value.k} l={value.l}")
+    return 0
 
 
 def _cmd_validate(args):
@@ -567,26 +568,25 @@ def _cmd_validate(args):
 
 def _cmd_compose(args):
     (first, a), (second, b) = _read_dqta("compose", args.first, args.second)
+    if a.l == b.k:
+        _refuse_oversized(a.h * b.h * b.l, a.h * b.h * a.k, args.output)
     out = cascade(a, b)
     labels = None
     if first.labels and second.labels:
         labels = {"input": first.labels["input"],
                   "output": second.labels["output"]}
-    write_automaton(out, args.output, labels)
-    _print_written(out, args.output)
-    return 0
+    return _write(out, args.output, labels)
 
 
 def _cmd_tensor(args):
     (first, a), (second, b) = _read_dqta("tensor", args.first, args.second)
+    _refuse_oversized(a.h * b.h * (a.l + b.l), a.h * b.h * (a.k + b.k), args.output)
     out = turing_tensor(a, b)
     labels = None
     if first.labels and second.labels:
         labels = {"input": first.labels["input"] + second.labels["input"],
                   "output": first.labels["output"] + second.labels["output"]}
-    write_automaton(out, args.output, labels)
-    _print_written(out, args.output)
-    return 0
+    return _write(out, args.output, labels)
 
 
 def _cmd_feedback(args):
@@ -596,9 +596,7 @@ def _cmd_feedback(args):
     if record.labels:
         labels = {"input": record.labels["input"][args.u:],
                   "output": record.labels["output"][args.u:]}
-    write_automaton(out, args.output, labels)
-    _print_written(out, args.output)
-    return 0
+    return _write(out, args.output, labels)
 
 
 def _lr_split(record):
@@ -634,6 +632,9 @@ def _cmd_bidir(args):
         out = Qta(value.h, value.k, value.tau)
         labels = record.labels["input"] if record.labels else None
     else:
+        if isinstance(value, UnitaryDqta):  # else bidirectionalize refuses it
+            side = value.h ** 2 * (value.k + value.l)
+            _refuse_oversized(side, side, args.output)
         out = bidirectionalize(value)
         labels = None
         if record.labels:
@@ -670,9 +671,7 @@ def _cmd_cell(args):
     cell = build_cell(args.states, args.bits, rule)
     labels = {"input": cell_labels(args.states),
               "output": cell_labels(args.states)}
-    write_automaton(cell, args.output, labels)
-    _print_written(cell, args.output)
-    return 0
+    return _write(cell, args.output, labels)
 
 
 def _cmd_chain(args):
@@ -681,14 +680,15 @@ def _cmd_chain(args):
     if src is None or 2 * src != record.k:
         raise ValueError(f"{args.file}: chain needs interfaces labeled as "
                          "matching (L,*) and (R,*) halves")
+    if args.n >= 1 and not args.ring:  # a ring's transition is 0x0
+        side = value.h ** args.n * value.k
+        _refuse_oversized(side, side, args.output)
     out = chain_cells(value, args.n, mirror=args.mirror, ring=args.ring)
     if args.ring:
         labels = {"input": (), "output": ()}
     else:
         labels = record.labels
-    write_automaton(out, args.output, labels)
-    _print_written(out, args.output)
-    return 0
+    return _write(out, args.output, labels)
 
 
 def _cmd_simulate(args):

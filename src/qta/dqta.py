@@ -10,15 +10,14 @@ sum, state spaces by tensor product.  Three composition styles:
   turing_tensor  run two automata side by side; interfaces concatenate,
                  each transition acts on its own state factor.
   feedback_dqta  wire the leading output summand back into the leading
-                 input summand and eliminate the loop with the closed
-                 form feedback from the trace module, taken over H (x) U.
+                 input summand and eliminate the loop with trace.closed_form,
+                 the one loop closer, taken over H (x) U.
 
-All three work on (h, l, h, k) views of transitions: cascade contracts
-two, turing_tensor writes two into one, feedback_dqta slices one.  When
-every operand's transition carries a monomial form (see linalg),
-turing_tensor composes the target maps instead, and feedback_dqta relabels
-the form into the block layout and follows paths (trace.path_feedback);
-cascade stays dense.
+cascade and turing_tensor work on (h, l, h, k) views of transitions:
+cascade contracts two, turing_tensor writes two into one.  When both
+transitions carry a monomial form (see linalg), turing_tensor composes the
+target maps instead; cascade stays dense.  closed_form slices the same
+view into its four blocks, or follows paths on a carried form.
 
 Matrix conventions follow linalg: the state factor H is always the outer
 (slow) tensor factor, and interface summands concatenate in declaration
@@ -48,14 +47,13 @@ from .linalg import (
     check_defect,
     identity,
     isometry_defect,
-    kron,
     monomial,
     op_distance,
     owned,
     sum_swap,
     unitary_defect,
 )
-from .trace import closed_form, path_feedback
+from .trace import closed_form
 
 
 @dataclass(frozen=True)
@@ -157,31 +155,12 @@ def turing_tensor(t1: Dqta, t2: Dqta) -> Dqta:
 
 
 def feedback_dqta(t: Dqta, u: int) -> Dqta:
-    """Close the loop over the leading u-dimensional interface summand.
-
-    The blocks of the closed form feedback over H (x) U are slices of the
-    (h, l, h, k) view, loop summand first on each interface axis, which
-    list them in the layout (H (x) U) (+) (H (x) rest).  Other summands
-    can be routed into leading position with symmetry automata first.
-    """
+    """Close the loop over the leading u-dimensional interface summand:
+    trace.closed_form over H (x) U.  Other summands can be routed into
+    leading position with symmetry automata first."""
     if u < 0 or u > t.k or u > t.l:
         raise ShapeError(f"feedback dim {u} exceeds interfaces ({t.k}, {t.l})")
-    h, k, l = t.h, t.k - u, t.l - u
-    if t.tau.form is not None:
-        # the same blocks in that layout: loop columns (x < u) first, and
-        # row (a, y) of the view at a * u + y or h * u + a * l + y - u
-        target, phase = t.tau.form
-        cols = np.argsort(np.arange(h * t.k) % t.k >= u, kind="stable")
-        a, y = np.divmod(target[cols], t.l)
-        rows = np.where(y < u, a * u + y, h * u + a * l + y - u)
-        tau = monomial(h * t.l, rows, phase[cols])
-        return _kind(t)(h, k, l, path_feedback(tau, h * u))
-    tau = t.tau.mat.reshape(h, t.l, h, t.k)
-    a = tau[:, :u, :, :u].reshape(h * u, h * u)
-    b = tau[:, u:, :, :u].reshape(h * l, h * u)
-    c = tau[:, :u, :, u:].reshape(h * u, h * k)
-    d = tau[:, u:, :, u:].reshape(h * l, h * k)
-    return _kind(t)(h, k, l, closed_form(a, b, c, d))
+    return _kind(t)(t.h, t.k - u, t.l - u, closed_form(t.tau, t.h, u))
 
 
 def unit_automata(k: int, l: int):
@@ -210,9 +189,11 @@ def witnessed_distance(t1: Dqta, t2: Dqta, sigma: Operator) -> float:
             f"witness is {sigma.rows}x{sigma.cols}, expected {t2.h}x{t1.h}")
     if sigma.rows != sigma.cols:
         return float("inf")
-    moved = (kron(sigma, identity(t1.l)).mat
-             @ t1.tau.mat
-             @ kron(adjoint(sigma), identity(t1.k)).mat)
+    # sigma on the outer state factor of t1's (h, l, h, k) view, then
+    # sigma^dagger on the inner one
+    h, k, l, s = t1.h, t1.k, t1.l, sigma.mat
+    moved = s @ t1.tau.mat.reshape(h, l * h * k)
+    moved = (s.conj() @ moved.reshape(h * l, h, k)).reshape(h * l, h * k)
     return max(unitary_defect(sigma), op_distance(owned(moved), t2.tau))
 
 

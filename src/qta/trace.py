@@ -5,8 +5,9 @@ Three semantics for closing the U loop of an isometric block operator:
 * ``schur_feedback``: the closed form D + B (I - A)^+ C, with the
   Moore-Penrose inverse supplying the Schur-style complement of (I - A).
   This is the reference implementation; it sends isometries to isometries.
-  ``closed_form`` is the same formula on the four blocks, unchecked, and
-  ``path_feedback`` is the same formula on a carried monomial form.
+  It is the input gate plus ``closed_form(f, 1, u)``.  The one loop
+  closer, unchecked and shared with dqta.feedback_dqta, is ``closed_form``:
+  it closes f: H (x) (U (+) K) -> H (x) (U (+) L) over H (x) U.
 * ``kleene_feedback``: the limit of D + B (I + A + ... + A^n) C, reported
   with an explicit convergence witness.  Divergence is reported, never
   silently averaged; Cesaro averaging of the partial sums is opt-in.
@@ -95,19 +96,37 @@ class ConvergenceReport:
     mode: str
 
 
-def split_blocks(m: BlockMap):
-    """The four blocks (a, b, c, d) of the recorded split, as contiguous
+def _blocks(mat, h, u, k, l):
+    """The blocks (a, b, c, d) of mat: H (x) (U (+) K) -> H (x) (U (+) L)
+    over H (x) U, sliced from the (h, u + l, h, u + k) view as contiguous
     copies: products of the strided slices can differ in the last bit."""
-    u, mat = m.u, m.op.mat
-    blocks = mat[:u, :u], mat[u:, :u], mat[:u, u:], mat[u:, u:]
-    return tuple(owned(np.array(block)) for block in blocks)
+    view = mat.reshape(h, u + l, h, u + k)
+    loop, rest = slice(None, u), slice(u, None)
+    return tuple(np.array(view[:, r, :, s]).reshape(h * m, h * n)
+                 for r, s, m, n in [(loop, loop, u, u), (rest, loop, l, u),
+                                    (loop, rest, u, k), (rest, rest, l, k)])
 
 
-def closed_form(a, b, c, d) -> Operator:
-    """D + B (I - A)^+ C on the four block arrays, unchecked: the caller
-    vouches that they form an isometry, as the automaton algebra does for
-    its transitions."""
-    pinv = mp_inverse(owned(np.eye(len(a)) - a))
+def split_blocks(m: BlockMap):
+    """The four blocks (a, b, c, d) of the recorded split."""
+    return tuple(map(owned, _blocks(m.op.mat, 1, m.u, m.k, m.l)))
+
+
+def closed_form(f: Operator, h: int, u: int) -> Operator:
+    """Close f: H (x) (U (+) K) -> H (x) (U (+) L) over H (x) U, unchecked
+    (the caller vouches that f is an isometry): D + B (I - A)^+ C on the
+    blocks of a dense f.  A carried f is relabelled into the layout
+    (H (x) U) (+) (H (x) rest), loop columns first and row (a, y) at
+    a * u + y or h * u + a * l + y - u, and closed by path_feedback."""
+    k, l = f.cols // h - u, f.rows // h - u
+    if f.form is not None:
+        target, phase = f.form
+        cols = np.argsort(np.arange(f.cols) % (u + k) >= u, kind="stable")
+        a, y = np.divmod(target[cols], u + l)
+        rows = np.where(y < u, a * u + y, h * u + a * l + y - u)
+        return path_feedback(monomial(f.rows, rows, phase[cols]), h * u)
+    a, b, c, d = _blocks(f.mat, h, u, k, l)
+    pinv = mp_inverse(owned(np.eye(h * u) - a))
     return owned(d + b @ pinv.mat @ c)
 
 
@@ -133,12 +152,10 @@ def schur_feedback(m: BlockMap) -> Operator:
 
     The input must be an isometry within ISOMETRY_TOL.  The output's
     isometry defect is input-limited: it grows as I - A nears singularity.
-    A carried form is closed by path_feedback.
+    This is the gate plus closed_form with a one-dimensional H.
     """
     check_defect(isometry_defect(m.op), "feedback input must be an isometry")
-    if m.op.form is not None:
-        return path_feedback(m.op, m.u)
-    return closed_form(*(block.mat for block in split_blocks(m)))
+    return closed_form(m.op, 1, m.u)
 
 
 def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10,
@@ -216,8 +233,9 @@ def kernel_image_trace(m: BlockMap) -> Operator:
 
 
 def scalar_star(c: complex) -> complex:
-    """Scalar feedback (1 - c)^+ with the convention that 1^* = 0."""
+    """Scalar feedback (1 - c)^+, the exact Moore-Penrose inverse of the
+    scalar 1 - c: 0 at c = 1, the reciprocal everywhere else."""
     w = 1.0 - complex(c)
-    if abs(w) <= 1e-12:
+    if w == 0:
         return 0.0 + 0.0j
     return 1.0 / w

@@ -682,10 +682,11 @@ def test_memory_error_is_reported_without_a_traceback(tmp_path, capsys,
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 16.0 GiB for an array")
 
+    # n = 2 (side 256) passes the argument-sized refusal on any host
     monkeypatch.setattr(cli, "chain_cells", out_of_memory)
     out = str(tmp_path / "seg.json")
     assert run_command(["chain", os.path.join(DATA_DIR, "cell_2s3b.json"),
-                        "--n", "4", "-o", out]) == 1
+                        "--n", "2", "-o", out]) == 1
     err = capsys.readouterr().err
     assert err == ("error: out of memory: Unable to allocate 16.0 GiB "
                    "for an array\n")
@@ -791,11 +792,12 @@ def test_cell_and_chain_commands(tmp_path, capsys):
 
 def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     # side 4 * 4 ** 8 = 262144: the carried chain takes tens of megabytes,
-    # a dense copy would take 1 TiB
+    # a dense copy would take 1 TiB; the refusal comes from the arguments
     cell = str(tmp_path / "cell.json")
     assert run_command(["cell", "--states", "2", "--bits", "2",
                         "-o", cell]) == 0
     capsys.readouterr()
+    parse_automaton(cell)  # numpy's first np.unique imports numpy.ma (1 MB)
     out = str(tmp_path / "seg.json")
     tracemalloc.start()
     try:
@@ -808,7 +810,29 @@ def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     assert err.startswith(f"error: {out}: refusing to write a 262144x262144 "
                           "transition: reading it back needs 1024.0 GiB")
     assert not os.path.exists(out)
-    assert peak < 2 ** 27
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["compose", "cell_2s1b.json", "cell_2s1b.json"], "cascade"),
+    (["tensor", "cell_2s1b.json", "cell_2s1b.json"], "turing_tensor"),
+    (["bidir", "cell_2s1b.json", "--route", "functor"], "bidirectionalize"),
+    (["chain", "cell_2s1b.json", "--n", "2"], "chain_cells"),
+])
+def test_oversized_result_is_refused_before_it_is_computed(
+        tmp_path, capsys, monkeypatch, argv, builder):
+    # with one byte of physical memory every result is oversized
+    def never(*args):
+        raise AssertionError(f"{builder} ran before the refusal")
+
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: 1)
+    monkeypatch.setattr(cli, builder, never)
+    out = str(tmp_path / "out.json")
+    argv = [os.path.join(DATA_DIR, a) if a.endswith(".json") else a
+            for a in argv]
+    assert run_command(argv + ["-o", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: refusing to write")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("bits", [20, 600])

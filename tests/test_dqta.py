@@ -177,13 +177,15 @@ def test_feedback_dim_check():
 
 def test_feedback_matches_blockmap_on_stateless():
     # with a one-dimensional state space the automaton feedback IS the
-    # trace-module feedback
+    # trace-module feedback: both run closed_form, dense or carried
+    rng = np.random.default_rng(500)
     for seed in range(10):
-        op = random_isometry(4, 3, seed=500 + seed)
-        t = make_dqta(1, 3, 4, op)
-        out = feedback_dqta(t, 1)
-        direct = schur_feedback(BlockMap(op, 1, 2, 3))
-        assert op_distance(out.tau, direct) <= TOL
+        for op in (random_isometry(4, 3, seed=500 + seed),
+                   random_monomial(rng, 4, 3)):
+            out = feedback_dqta(make_dqta(1, 3, 4, op), 1)
+            direct = schur_feedback(BlockMap(op, 1, 2, 3))
+            assert (out.tau.form is None) == (op.form is None)
+            assert np.array_equal(out.tau.mat, direct.mat)
 
 
 def test_feedback_commutes_with_state_padding():
@@ -340,6 +342,37 @@ def test_witness_rejects_non_unitary():
     assert not iso_witness_check(t, t, sigma)
     # the law suite reads the distance itself, so it must carry the defect
     assert witnessed_distance(t, t, sigma) >= unitary_defect(sigma) > 0.5
+
+
+def kron_witnessed_distance(t1, t2, sigma):
+    """Reference witnessed_distance: conjugate by the dense matrices of
+    sigma (x) I_l and sigma^dagger (x) I_k."""
+    moved = (kron(sigma, identity(t1.l)).mat @ t1.tau.mat
+             @ kron(adjoint(sigma), identity(t1.k)).mat)
+    return max(unitary_defect(sigma), op_distance(Operator(moved), t2.tau))
+
+
+@pytest.mark.parametrize("h, k, l", [(1, 2, 3), (2, 2, 2), (3, 1, 4),
+                                     (4, 2, 3), (2, 0, 2), (3, 0, 1)])
+def test_witness_view_equals_the_kron_conjugation(h, k, l):
+    rng = np.random.default_rng(10 * h + k + 100 * l)
+    t1 = rand_dqta(h, k, l, seed=int(rng.integers(1 << 30)))
+    t2 = rand_dqta(h, k, l, seed=int(rng.integers(1 << 30)))
+    for _ in range(3):
+        sigma = random_isometry(h, h, seed=int(rng.integers(1 << 30)))
+        for other in (t1, t2):
+            assert abs(witnessed_distance(t1, other, sigma)
+                       - kron_witnessed_distance(t1, other, sigma)) <= 1e-12
+        # permutation witnesses, carried or not, move entries exactly
+        perm = random_monomial(rng, h, h, phased=False)
+        for sigma in (perm, dense(perm)):
+            moved = Dqta(h, k, l, Operator(
+                kron(perm, identity(l)).mat @ t1.tau.mat
+                @ kron(adjoint(perm), identity(k)).mat))
+            for other in (t1, t2, moved):
+                assert (witnessed_distance(t1, other, sigma)
+                        == kron_witnessed_distance(t1, other, sigma))
+            assert witnessed_distance(t1, moved, sigma) == 0.0
 
 
 def test_witness_shape_errors():

@@ -11,6 +11,7 @@ from qta.linalg import (
     identity,
     isometry_defect,
     monomial,
+    mp_inverse,
     op_distance,
     random_isometry,
     sum_swap,
@@ -321,6 +322,16 @@ def test_scalar_star_conway_identities():
     assert scalar_star(scalar_star(1.0) * 1.0) * scalar_star(1.0) == 0.0
 
 
+def test_scalar_star_is_the_exact_pseudoinverse_of_a_scalar():
+    # a nonzero 1 - c keeps its reciprocal at any relative cutoff, as the
+    # pseudoinverse of the 1x1 matrix [1 - c] does
+    assert scalar_star(1 - 1e-13) == 1 / (1 - (1 - 1e-13))
+    assert scalar_star(1) == 0
+    for c in [0.5, -2.0, 1 - 1e-13, 1 + 1e-9, 0.3 + 0.4j, 1 - 1e-14j, 2j, 1.0]:
+        ref = mp_inverse(Operator([[1 - c]])).mat[0, 0]
+        assert abs(scalar_star(c) - ref) <= 1e-15 * abs(ref), c
+
+
 # ----------------------------------------------------------- path following
 
 def planted_monomial(rng, u, k, l, cycle, closing, modulus):
@@ -363,7 +374,7 @@ def test_path_feedback_equals_the_closed_form(seed):
         f = planted_monomial(rng, u, k, l, cycle, closing, modulus)
         out = path_feedback(f, u)
         mat = f.mat
-        ref = closed_form(mat[:u, :u], mat[u:, :u], mat[:u, u:], mat[u:, u:])
+        ref = closed_form(Operator(mat), 1, u)
         assert out.form is not None and out.shape == (l, k)
         assert op_distance(out, ref) <= 1e-12, (u, k, l, cycle, closing)
         loop = np.eye(u) - mat[:u, :u]
