@@ -2,18 +2,17 @@
 
 Plants loop blocks with controlled spectra via the standard unitary
 completion [[A, (I-AA*)^1/2], [(I-A*A)^1/2, -A*]] of a contraction A and
-runs kleene_feedback in both modes against the closed form.  Families:
+runs kleene_feedback against the closed form.  Families:
 
   contraction   A = r Q for a Haar unitary Q, radius exactly r
   peripheral    A = diag(phases) (+) 0.7 Q, unit-modulus eigenvalues != 1
   kernel        A = 1 (+) 0.7 Q, eigenvalue exactly 1
 
 For an isometry, a unit-modulus eigenvalue of the loop block decouples
-from the coupling blocks exactly (Bv = 0 and v*C = 0), so plain partial
-sums see only the strictly contractive part; the peripheral and kernel
-families make that visible.  Cesaro averaging trades the geometric rate
-for O(1/n) bias, so its stopping residual undersells its true error; the
-gap column reports the distance to the closed form.
+from the coupling blocks exactly (Bv = 0 and v*C = 0), so the partial
+sums see only the strictly contractive part and converge geometrically;
+the peripheral and kernel families make that visible.  Each instance
+prints one row; the gap column reports the distance to the closed form.
 """
 
 import argparse
@@ -80,21 +79,19 @@ def main(argv=None):
             u = a.shape[0]
             bm = BlockMap(Operator(completion(a)), u, u, u)
             closed = schur_feedback(bm)
-            for mode in ("partial-sums", "cesaro"):
-                out, rep = kleene_feedback(bm, max_n=args.max_n,
-                                           tol=args.tol, mode=mode)
-                rows.append({
-                    "family": family, "spectrum": spectrum, "mode": mode,
-                    "steps": rep.steps, "residual": rep.residual,
-                    "converged": rep.converged,
-                    "gap": op_distance(out, closed)})
+            out, rep = kleene_feedback(bm, max_n=args.max_n, tol=args.tol)
+            rows.append({
+                "family": family, "spectrum": spectrum,
+                "steps": rep.steps, "residual": rep.residual,
+                "converged": rep.converged,
+                "gap": op_distance(out, closed)})
 
-    header = f"{'family':<12} {'spectrum':<20} {'mode':<13} " \
+    header = f"{'family':<12} {'spectrum':<20} " \
              f"{'steps':>7} {'residual':>10} {'conv':>5} {'gap':>10}"
     print(header)
     print("-" * len(header))
     for row in rows:
-        print(f"{row['family']:<12} {row['spectrum']:<20} {row['mode']:<13} "
+        print(f"{row['family']:<12} {row['spectrum']:<20} "
               f"{row['steps']:>7} {row['residual']:>10.2e} "
               f"{str(row['converged']):>5} {row['gap']:>10.2e}")
 

@@ -47,6 +47,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -70,7 +71,7 @@ from .dqta import (
     make_unitary_dqta,
     turing_tensor,
 )
-from .intcat import Int0Morphism, Qta, as_int0, bidirectionalize, int_compose
+from .intcat import Int0Morphism, Qta, as_int0, bidirectionalize, int_compose, name_of
 from . import linalg
 from .linalg import (
     Operator,
@@ -381,6 +382,17 @@ def _refuse_oversized(rows, cols, path):
             f"{memory / 2 ** 30:.1f} GiB of physical memory")
 
 
+def _refuse_oversized_side(factor, base, exp, path):
+    """_refuse_oversized for the square side factor * base ** exp; a side
+    past the int-to-str limit, so past any memory, is named, never built."""
+    limit = sys.get_int_max_str_digits() or math.inf
+    if exp * math.log10(base) <= limit and (side := factor * base ** exp) < 10 ** limit:
+        return _refuse_oversized(side, side, path)
+    name = f"({factor}*{base}**{exp})"
+    raise ValueError(f"{path}: refusing to write a {name}x{name} transition:"
+                     " reading it back needs more than physical memory")
+
+
 def write_automaton(value, path, labels=None):
     """Write one automaton file after the loader's own label and transition
     checks, so that every file written can be read back; a transition whose
@@ -628,13 +640,11 @@ def _cmd_bidir(args):
         if not isinstance(value, UnitaryDqta):
             raise ValueError(f"{args.file}: the name route needs a unitary "
                              "square transition")
-        # name_of(as_int0(value, src)) has exactly value's transition
-        out = Qta(value.h, value.k, value.tau)
+        out = name_of(as_int0(value, src))
         labels = record.labels["input"] if record.labels else None
     else:
         if isinstance(value, UnitaryDqta):  # else bidirectionalize refuses it
-            side = value.h ** 2 * (value.k + value.l)
-            _refuse_oversized(side, side, args.output)
+            _refuse_oversized_side(value.k + value.l, value.h, 2, args.output)
         out = bidirectionalize(value)
         labels = None
         if record.labels:
@@ -665,8 +675,7 @@ def _load_rule(path):
 def _cmd_cell(args):
     if args.states > 0 and args.bits >= 0:
         # refused from the arguments, before the cell's index map is built
-        side = 2 * args.states << args.bits
-        _refuse_oversized(side, side, args.output)
+        _refuse_oversized_side(2 * args.states, 2, args.bits, args.output)
     rule = _load_rule(args.rule) if args.rule else None
     cell = build_cell(args.states, args.bits, rule)
     labels = {"input": cell_labels(args.states),
@@ -681,8 +690,7 @@ def _cmd_chain(args):
         raise ValueError(f"{args.file}: chain needs interfaces labeled as "
                          "matching (L,*) and (R,*) halves")
     if args.n >= 1 and not args.ring:  # a ring's transition is 0x0
-        side = value.h ** args.n * value.k
-        _refuse_oversized(side, side, args.output)
+        _refuse_oversized_side(value.k, value.h, args.n, args.output)
     out = chain_cells(value, args.n, mirror=args.mirror, ring=args.ring)
     if args.ring:
         labels = {"input": (), "output": ()}

@@ -137,7 +137,7 @@ def carried(mat) -> Operator:
         return f
     target = nonzero.argmax(axis=0)
     phase = f.mat[target, np.arange(f.cols)]
-    if (np.unique(target).size == f.cols and np.count_nonzero(
+    if (np.all(nonzero.sum(axis=1) <= 1) and np.count_nonzero(
             f.mat.view(np.int64)) == np.count_nonzero(phase.view(np.int64))):
         f.form = (target, phase)
     return f

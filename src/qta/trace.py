@@ -8,9 +8,8 @@ Three semantics for closing the U loop of an isometric block operator:
   It is the input gate plus ``closed_form(f, 1, u)``.  The one loop
   closer, unchecked and shared with dqta.feedback_dqta, is ``closed_form``:
   it closes f: H (x) (U (+) K) -> H (x) (U (+) L) over H (x) U.
-* ``kleene_feedback``: the limit of D + B (I + A + ... + A^n) C, reported
-  with an explicit convergence witness.  Divergence is reported, never
-  silently averaged; Cesaro averaging of the partial sums is opt-in.
+* ``kleene_feedback``: the limit of D + B (I + A + ... + A^n) C with a
+  convergence witness; running out of max_n is reported, never averaged.
 * ``kernel_image_trace``: factor B and C through (I - A) and combine the
   factors; always defined on isometric inputs and equal to the closed form.
 
@@ -19,19 +18,25 @@ Block layout of a BlockMap op (conventional orientation, rows = codomain):
     [[A, C],
      [B, D]]     A: U -> U,  C: K -> U,  B: U -> L,  D: K -> L.
 
-Why any generalized inverse gives the same feedback.  A is a contraction.
-If Ax = x, the isometry keeps the length of (x, 0), so |x|^2 = |Ax|^2 +
-|Bx|^2 forces Bx = 0.  If A^dagger y = y, then <Ay, y> = |y|^2 with
-|Ay| <= |y| forces Ay = y, so (y, 0) maps to itself; the isometry keeps
-it orthogonal to the image (Cz, Dz) of every (0, z), so C^dagger y = 0.
-Hence ker(I - A) lies in ker B and ran C in ran(I - A): B = P (I - A) and
-C = (I - A) Q for some P, Q.  For every G with (I - A) G (I - A) = I - A,
-B G C = P (I - A) Q, whichever G is taken.  The Moore-Penrose inverse is
-one such G, and so is the plain inverse when I - A is invertible, which
-is what lets ``linalg.mp_inverse`` answer with an LU inverse there.  A
-fixed loop direction that is a basis vector leaves I - A an exactly zero
-row and column, which ``mp_inverse`` deflates before the LU: the dense
-counterpart of ``path_feedback`` dropping the loop columns no input reaches.
+Why any generalized inverse gives the same feedback, and why the partial
+sums converge.  A is a contraction; let Ax = wx with |w| = 1.  The
+isometry keeps the length of (x, 0), so |x|^2 = |Ax|^2 + |Bx|^2 forces
+Bx = 0.  As |A^dagger x - w* x|^2 = |A^dagger x|^2 - |x|^2 <= 0,
+A^dagger x = w* x, and the isometry keeps (x, 0), sent to (wx, 0),
+orthogonal to the image (Cz, Dz) of every (0, z), so C^dagger x = 0.
+These x span a space that reduces A (the unitary part of a contraction
+splits off: Sz.-Nagy and Foias), on which B vanishes and whose
+complement, where A has spectral radius below 1, holds ran C: B A^n C
+decays geometrically and the partial sums converge.  At w = 1,
+ker(I - A) = ker(I - A^dagger) lies in ker B and ran C in ran(I - A):
+B = P (I - A) and C = (I - A) Q for some P, Q.  For every G with
+(I - A) G (I - A) = I - A, B G C = P (I - A) Q, whichever G is taken.
+The Moore-Penrose inverse is one such G, and so is the plain inverse
+when I - A is invertible, which is what lets ``linalg.mp_inverse``
+answer with an LU inverse there.  A fixed loop direction that is a basis
+vector leaves I - A an exactly zero row and column, which ``mp_inverse``
+deflates before the LU: the dense counterpart of ``path_feedback``
+dropping the loop columns no input reaches.
 
 On a monomial isometry (a partial injection with phases) the closed form
 is Girard's execution formula, ``path_feedback``: loop columns that no
@@ -93,7 +98,6 @@ class ConvergenceReport:
     steps: int
     residual: float
     converged: bool
-    mode: str
 
 
 def _blocks(mat, h, u, k, l):
@@ -158,50 +162,37 @@ def schur_feedback(m: BlockMap) -> Operator:
     return closed_form(m.op, 1, m.u)
 
 
-def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10,
-                    mode: str = "partial-sums"):
+def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10):
     """Feedback as the limit of D + B (I + A + ... + A^n) C.
 
-    Iterates the partial sums (or their Cesaro averages when
-    mode="cesaro"), stopping once the increment from one iterate to the
-    next falls to tol or max_n is reached.  Returns (operator, report);
-    non-convergence is reported, not raised.  The input must be an
+    Iterates the partial sums, stopping once the increment B A^n C falls
+    to tol or max_n is reached.  Returns (operator, report); running out
+    of max_n is reported, never raised or averaged.  The input must be an
     isometry within ISOMETRY_TOL, as for the other two semantics; tol
     only stops the iteration.
     """
-    if mode not in ("partial-sums", "cesaro"):
-        raise ValueError(f"unknown mode {mode!r}")
     check_defect(isometry_defect(m.op), "feedback input must be an isometry")
     a, b, c, d = split_blocks(m)
     if m.u == 0:
-        return d, ConvergenceReport(steps=0, residual=0.0, converged=True, mode=mode)
+        return d, ConvergenceReport(steps=0, residual=0.0, converged=True)
 
-    # partial sums: S_n = I + A + ... + A^n, iterate f_n = D + B S_n C,
-    # increment f_n - f_{n-1} = B A^n C with f_{-1} = D.
-    # cesaro: average the partial sums instead of taking the last.
+    # S_n = I + A + ... + A^n, iterate f_n = D + B S_n C, increment
+    # f_n - f_{n-1} = B (S_n - S_{n-1}) C, B A^n C as rounded in S_n.
     power = np.eye(m.u, dtype=complex)          # A^n
-    partial = np.zeros((m.u, m.u), dtype=complex)  # S_{n-1}
-    cesaro_acc = np.zeros((m.u, m.u), dtype=complex)  # S_0 + ... + S_{n-1}
-    prev_mid = np.zeros((m.u, m.u), dtype=complex)
+    prev = np.zeros((m.u, m.u), dtype=complex)  # S_{n-1}
     residual = float("inf")
     steps = 0
-    for n in range(max_n + 1):
-        partial = partial + power
-        if mode == "cesaro":
-            cesaro_acc = cesaro_acc + partial
-            mid = cesaro_acc / (n + 1)
-        else:
-            mid = partial
-        increment = b.mat @ (mid - prev_mid) @ c.mat
+    for steps in range(max_n + 1):
+        partial = prev + power
+        increment = b.mat @ (partial - prev) @ c.mat
         residual = float(np.max(np.abs(increment))) if increment.size else 0.0
-        prev_mid = mid
-        steps = n
+        prev = partial
         if residual <= tol:
             break
         power = a.mat @ power
-    out = owned(d.mat + b.mat @ prev_mid @ c.mat)
+    out = owned(d.mat + b.mat @ prev @ c.mat)
     return out, ConvergenceReport(steps=steps, residual=residual,
-                                  converged=residual <= tol, mode=mode)
+                                  converged=residual <= tol)
 
 
 def kernel_image_trace(m: BlockMap) -> Operator:

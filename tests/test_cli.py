@@ -2,6 +2,8 @@ import glob
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -797,7 +799,6 @@ def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     assert run_command(["cell", "--states", "2", "--bits", "2",
                         "-o", cell]) == 0
     capsys.readouterr()
-    parse_automaton(cell)  # numpy's first np.unique imports numpy.ma (1 MB)
     out = str(tmp_path / "seg.json")
     tracemalloc.start()
     try:
@@ -809,6 +810,53 @@ def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out}: refusing to write a 262144x262144 "
                           "transition: reading it back needs 1024.0 GiB")
+    assert not os.path.exists(out)
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("n", [100_000, 10_000_000])
+def test_argument_sized_segment_is_refused_without_building_its_side(
+        tmp_path, capsys, n):
+    # side 4 * 4 ** n has over 60 000 digits: it is named by its factors,
+    # never built or converted to text
+    cell = str(tmp_path / "cell.json")
+    assert run_command(["cell", "--states", "2", "--bits", "2",
+                        "-o", cell]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "seg.json")
+    tracemalloc.start()
+    try:
+        code = run_command(["chain", cell, "--n", str(n), "-o", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: refusing to write")
+    assert not os.path.exists(out)
+    assert peak < 2 ** 20
+
+
+def test_segment_refusal_in_a_fresh_interpreter_stays_small(tmp_path, capsys):
+    # nothing the refusal needs may pull in a large module on first use
+    # (numpy's np.unique imports numpy.ma, about 1 MB)
+    cell = str(tmp_path / "cell.json")
+    assert run_command(["cell", "--states", "2", "--bits", "2",
+                        "-o", cell]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "seg.json")
+    script = ("import sys, tracemalloc\n"
+              "from qta.cli import run_command\n"
+              "tracemalloc.start()\n"
+              "code = run_command(sys.argv[1:])\n"
+              "print(code, tracemalloc.get_traced_memory()[1])\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, "chain", cell, "--n", "8", "-o", out],
+        capture_output=True, text=True, env=env, check=True)
+    code, peak = map(int, done.stdout.split())
+    assert code == 1
+    assert f"error: {out}: refusing to write" in done.stderr
     assert not os.path.exists(out)
     assert peak < 2 ** 20
 
@@ -835,10 +883,11 @@ def test_oversized_result_is_refused_before_it_is_computed(
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("bits", [20, 600])
+@pytest.mark.parametrize("bits", [20, 600, 20000])
 def test_oversized_cell_is_refused_before_it_is_built(tmp_path, capsys, bits):
     # side 2 * 2 ** 20: the cell's index map alone would take tens of
-    # megabytes; at 600 bits the side fits no array and no float
+    # megabytes; at 600 bits the side fits no array and no float; at 20000
+    # bits it has more digits than the interpreter converts to text
     out = str(tmp_path / "cell.json")
     tracemalloc.start()
     try:
