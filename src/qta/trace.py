@@ -11,7 +11,8 @@ Three semantics for closing the U loop of an isometric block operator:
 * ``kleene_feedback``: the limit of D + B (I + A + ... + A^n) C with a
   convergence witness; running out of max_n is reported, never averaged.
 * ``kernel_image_trace``: factor B and C through (I - A) and combine the
-  factors; always defined on isometric inputs and equal to the closed form.
+  factors, returned with the factorization residual; on an isometry the
+  factors exist (below), so the residual measures only the rank cutoff.
 
 Block layout of a BlockMap op (conventional orientation, rows = codomain):
 
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .linalg import (
     Operator,
     ShapeError,
@@ -60,18 +60,6 @@ from .linalg import (
     mp_inverse,
     owned,
 )
-
-# Residual allowance for the internal factorization checks, relative to the
-# isometry tolerance of the input.
-FACTOR_SLACK = 100.0
-
-
-class FactorizationError(ValueError):
-    """B or C does not factor through (I - A) within tolerance.
-
-    Signals a non-isometric or ill-conditioned input.
-    """
-
 
 @dataclass(frozen=True)
 class BlockMap:
@@ -195,13 +183,14 @@ def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10):
                                   converged=residual <= tol)
 
 
-def kernel_image_trace(m: BlockMap) -> Operator:
+def kernel_image_trace(m: BlockMap):
     """Feedback through factorizations of B and C across (I - A).
 
-    Solves B = k-factor after (I - A) and C = (I - A) after i-factor in
-    minimal norm via the pseudoinverse, verifies both residuals, and
-    returns the average of the two equivalent combinations D + (C then
-    k-factor) and D + (i-factor then B).
+    Solves B = k (I - A) and C = (I - A) i in minimal norm via the
+    pseudoinverse.  Returns (operator, residual): the average of D + k C
+    and D + B i, and max(|k (I - A) - B|, |(I - A) i - C|).  The residual
+    is rounding unless the rank cutoff dropped a loop direction that B or
+    C still sees; it is reported, never judged here.
     """
     check_defect(isometry_defect(m.op), "feedback input must be an isometry")
     a, b, c, d = split_blocks(m)
@@ -209,18 +198,11 @@ def kernel_image_trace(m: BlockMap) -> Operator:
     pinv = mp_inverse(owned(n)).mat
     k_factor = b.mat @ pinv          # minimal-norm solution of B = k (I - A)
     i_factor = pinv @ c.mat          # minimal-norm solution of C = (I - A) i
-    bound = FACTOR_SLACK * linalg.ISOMETRY_TOL
     res_b = float(np.max(np.abs(k_factor @ n - b.mat))) if b.mat.size else 0.0
     res_c = float(np.max(np.abs(n @ i_factor - c.mat))) if c.mat.size else 0.0
-    if res_b > bound or res_c > bound:
-        raise FactorizationError(
-            f"blocks do not factor through (I - A): residuals {res_b:.3e}, {res_c:.3e} "
-            f"exceed {bound:.3e}; input is non-isometric or ill-conditioned")
     via_k = d.mat + k_factor @ c.mat
     via_i = d.mat + b.mat @ i_factor
-    if via_k.size and float(np.max(np.abs(via_k - via_i))) > bound:
-        raise FactorizationError("the two factor combinations disagree")
-    return owned((via_k + via_i) / 2.0)
+    return owned((via_k + via_i) / 2.0), max(res_b, res_c)
 
 
 def scalar_star(c: complex) -> complex:

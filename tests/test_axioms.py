@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qta import axioms
 from qta.axioms import (
     EXPECTED_FAIL,
     LAW_GROUPS,
@@ -17,7 +18,7 @@ from qta.axioms import (
     serialize_reports,
     suite_passed,
 )
-from qta.trace import scalar_star
+from qta.trace import ConvergenceReport, scalar_star
 
 
 def test_config_rejects_bad_fields():
@@ -170,6 +171,19 @@ def test_worst_seed_identifies_an_instance():
     for r in reports:
         if r.max_violation > 0.0:
             assert r.worst_seed in instance_seeds
+
+
+@pytest.mark.parametrize("residual", [0.25, 3.0])
+def test_kleene_that_does_not_converge_fails_by_one_plus_its_residual(
+        monkeypatch, residual):
+    def stalled(m, max_n, tol):
+        return None, ConvergenceReport(max_n, residual, converged=False)
+
+    monkeypatch.setattr(axioms, "kleene_feedback", stalled)
+    [report] = run_checks(CheckConfig(instances=3,
+                                      law_set=("kleene-equivalence",)))
+    assert report.max_violation == 1.0 + residual
+    assert not report.passed
 
 
 def test_counterexample_fails_by_exactly_one():

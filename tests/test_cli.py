@@ -622,6 +622,83 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def _record_text(kind="dqta", h=1, k=1, l=1, matrix=(), **extra):
+    return json.dumps({"kind": kind, "h": h, "k": k, "l": l,
+                       "matrix": list(matrix), **extra})
+
+
+# a square transition inside the isometry gate whose adjoint is outside it:
+# its first row, not a column, carries the 1.5e-9 stretch
+_STRETCHED = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+_STRETCHED[0] *= np.sqrt(1 + 1.5e-9)
+_LR = ["(L,1)", "(R,1)"]
+_CELL = ["cell", "--states", "1", "--bits", "0", "-o", "{t}/out.json"]
+
+
+# (text of {t}/f.json or None, argv, message); {t} is the temporary
+# directory and {d} the data directory
+@pytest.mark.parametrize("text, argv, message", [
+    ("[1]", ["validate", "{t}/f.json"],
+     "{t}/f.json: top level must be an object"),
+    (_record_text(kind="x", matrix=[[[1, 0]]]),
+     ["validate", "{t}/f.json"],
+     "{t}/f.json: field 'kind' must be 'dqta' or 'qta'"),
+    (_record_text(h=0), ["validate", "{t}/f.json"],
+     "{t}/f.json: field 'h' must be positive"),
+    (_record_text(k=-1), ["validate", "{t}/f.json"],
+     "{t}/f.json: field 'k' must be a nonnegative integer"),
+    (_record_text(h=True), ["validate", "{t}/f.json"],
+     "{t}/f.json: field 'h' must be a nonnegative integer"),
+    ('{"matrix": [', _CELL + ["--rule", "{t}/f.json"],
+     "{t}/f.json:1:13: Expecting value"),
+    ('{"matrix": []}', _CELL + ["--rule", "{t}/f.json"],
+     "{t}/f.json: rule matrix must be a nonempty list"),
+    ('{"rule": []}', _CELL + ["--rule", "{t}/f.json"],
+     "{t}/f.json: rule must be a list of pairs or an object with a "
+     "'matrix' field"),
+    ('[[["L", 1], ["R", 1, 0]]]', _CELL + ["--rule", "{t}/f.json"],
+     "rule source ['L', 1] must be [dir, state, symbol]"),
+    ('[["L", 1, 0]]', _CELL + ["--rule", "{t}/f.json"],
+     "rule entry ['L', 1, 0] must be a [source, target] pair"),
+    (None, ["cell", "--states", "0", "--bits", "0", "-o", "{t}/out.json"],
+     "states must be positive, got 0"),
+    (None, ["cell", "--states", "1", "--bits", "-1", "-o", "{t}/out.json"],
+     "alphabet_bits must be nonnegative, got -1"),
+    (None, ["chain", "{d}/cell_2s1b.json", "--n", "0", "-o", "{t}/out.json"],
+     "n must be positive, got 0"),
+    (_record_text(h=2, k=0, l=0),
+     ["simulate", "{t}/f.json", "--steps", "1"],
+     "automaton has no interface to carry the control"),
+    (None, ["simulate", "{d}/cell_2s1b.json", "--steps", "-1"],
+     "steps must be nonnegative, got -1"),
+    (None, ["simulate", "{d}/cell_2s1b.json", "--steps", "1", "--start", "4"],
+     "interface index 4 out of range 0..3"),
+    (_record_text(
+        k=2, l=2, matrix=np.stack([_STRETCHED, 0 * _STRETCHED], -1).tolist(),
+        labels={"input": _LR, "output": _LR}),
+     ["bidir", "{t}/f.json", "--route", "name", "-o", "{t}/out.json"],
+     "{t}/f.json: the name route needs a unitary square transition"),
+])
+def test_command_errors_exit_1_with_their_message(tmp_path, capsys, text,
+                                                  argv, message):
+    if text is not None:
+        write_text(tmp_path, text, "f.json")
+    fill = lambda s: s.format(t=tmp_path, d=DATA_DIR)
+    assert run_command([fill(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {fill(message)}\n"
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("value, initial, message", [
+    ("cell", (0, 0), "cannot simulate str"),
+    (build_cell(2, 1), (0, 2), "basis index 2 out of range 0..1"),
+])
+def test_simulate_rejects_what_no_command_sends(value, initial, message):
+    with pytest.raises(ValueError) as err:
+        simulate(value, initial, 1)
+    assert str(err.value) == message
+
+
 def test_validation_failure_exits_1(tmp_path, capsys):
     path = str(tmp_path / "bad.json")
     with open(path, "w") as fh:
@@ -794,7 +871,8 @@ def test_cell_and_chain_commands(tmp_path, capsys):
 
 def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     # side 4 * 4 ** 8 = 262144: the carried chain takes tens of megabytes,
-    # a dense copy would take 1 TiB; the refusal comes from the arguments
+    # reading a dense copy back would take 24 TiB; the refusal comes from
+    # the arguments
     cell = str(tmp_path / "cell.json")
     assert run_command(["cell", "--states", "2", "--bits", "2",
                         "-o", cell]) == 0
@@ -809,7 +887,7 @@ def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out}: refusing to write a 262144x262144 "
-                          "transition: reading it back needs 1024.0 GiB")
+                          "transition: reading it back needs 24576.0 GiB")
     assert not os.path.exists(out)
     assert peak < 2 ** 20
 
@@ -900,6 +978,30 @@ def test_oversized_cell_is_refused_before_it_is_built(tmp_path, capsys, bits):
     assert capsys.readouterr().err.startswith(f"error: {out}: refusing to write")
     assert not os.path.exists(out)
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("first_label", ["x", "Infinity"])
+def test_writing_and_reading_back_stay_within_the_refusal_cost(
+        tmp_path, first_label):
+    # the refusal charges READ_BACK_BYTES_PER_ENTRY per dense entry; a
+    # dense side-256 file must write and load below that, on the flat
+    # reader and (an "Infinity" label) on the nested one
+    cell = make_unitary_dqta(64, 4, random_isometry(256, 256, 5))
+    labels = [first_label, "b", "c", "d"]
+    path = str(tmp_path / "haar.json")
+    budget = cli.READ_BACK_BYTES_PER_ENTRY * 256 * 256
+    peaks = []
+    for step in (lambda: write_automaton(cell, path, {"input": labels,
+                                                      "output": labels}),
+                 lambda: load_record(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < budget
+    assert np.array_equal(load_record(path).matrix, cell.tau.mat)
 
 
 def test_chain_command_requires_labels(tmp_path, capsys):

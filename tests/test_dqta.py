@@ -73,6 +73,14 @@ def test_unitary_dqta_needs_square_interfaces():
         make_unitary_dqta(1, 2, Operator([[1, 0], [1, 1]]))
 
 
+@pytest.mark.parametrize("h, k, l", [(0, 1, 1), (1, -1, 1), (1, 1, -2)])
+def test_bad_dims_are_rejected_with_their_message(h, k, l):
+    with pytest.raises(ShapeError) as err:
+        Dqta(h, k, l, identity(1))
+    assert str(err.value) == ("state dim must be positive and interfaces "
+                              f"nonnegative, got h={h}, k={k}, l={l}")
+
+
 # ----------------------------------------------------------------- cascade
 
 def test_cascade_stateless_is_composition():
@@ -380,6 +388,11 @@ def test_witness_shape_errors():
     t2 = rand_dqta(2, 2, 3, seed=36)
     with pytest.raises(ShapeError):
         iso_witness_check(t1, t2, identity(2))
+
+
+def test_witness_that_is_not_square_is_infinitely_far():
+    t1, t2 = rand_dqta(1, 2, 2, seed=37), rand_dqta(2, 2, 2, seed=38)
+    assert witnessed_distance(t1, t2, Operator([[1.0], [0.0]])) == float("inf")
 
 
 # ------------------------------------------------------------------ dagger

@@ -77,6 +77,24 @@ def test_morphism_validation():
         Int0Morphism(1, 1, make_dqta(1, 2, 3, random_isometry(3, 2, 0)))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Qta(0, 1, identity(0)), "bad dims h=0, n=1"),
+    (lambda: Qta(1, -1, identity(0)), "bad dims h=1, n=-1"),
+    (lambda: Int0Morphism(-1, 2, rand_unitary(1, 1, seed=0)),
+     "bad ranks -1, 2"),
+    (lambda: as_int0(make_dqta(1, 1, 2, random_isometry(2, 1, 0)), 0),
+     "need a square automaton, got 1 -> 2"),
+    (lambda: as_int0(rand_unitary(1, 2, seed=0), 3),
+     "forward rank 3 exceeds interface 2"),
+    (lambda: as_int0(rand_unitary(1, 2, seed=0), -1),
+     "forward rank -1 exceeds interface 2"),
+])
+def test_bad_dims_and_ranks_are_rejected_with_their_message(build, message):
+    with pytest.raises(ShapeError) as err:
+        build()
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------ category laws
 
 def test_compose_unit_laws():

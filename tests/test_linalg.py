@@ -72,7 +72,7 @@ INTERNAL_RESULTS = {
     "schur_feedback": lambda: schur_feedback(
         BlockMap(random_isometry(4, 3, 1), 1, 2, 3)),
     "kernel_image_trace": lambda: kernel_image_trace(
-        BlockMap(random_isometry(4, 3, 1), 1, 2, 3)),
+        BlockMap(random_isometry(4, 3, 1), 1, 2, 3))[0],
     "kleene_feedback": lambda: kleene_feedback(
         BlockMap(random_isometry(4, 3, 1), 1, 2, 3))[0],
     "cascade": lambda: cascade(_dense_dqta(1), _dense_dqta(2)).tau,

@@ -20,7 +20,6 @@ from qta.linalg import (
 from qta.trace import (
     BlockMap,
     ConvergenceReport,
-    FactorizationError,
     closed_form,
     kernel_image_trace,
     kleene_feedback,
@@ -265,14 +264,14 @@ def test_kleene_gates_input_at_isometry_tol_not_at_its_stopping_tol():
 # ------------------------------------------------------ kernel_image_trace
 
 def test_kit_swap():
-    out = kernel_image_trace(BlockMap(SWAP, 1, 1, 1))
+    out, _ = kernel_image_trace(BlockMap(SWAP, 1, 1, 1))
     assert np.allclose(out.mat, [[1.0]])
 
 
 def test_kit_kernel_case():
     phi = 1.1
     op = Operator(np.diag([1.0, np.exp(1j * phi)]))
-    out = kernel_image_trace(BlockMap(op, 1, 1, 1))
+    out, _ = kernel_image_trace(BlockMap(op, 1, 1, 1))
     assert np.allclose(out.mat, [[np.exp(1j * phi)]])
 
 
@@ -283,20 +282,35 @@ def test_kit_matches_schur_on_random_isometries():
         k = int(rng.integers(0, 7))
         l = k + int(rng.integers(0, 3))
         m = random_blockmap(u, k, l, int(rng.integers(0, 2**31)))
-        kit = kernel_image_trace(m)
+        kit, _ = kernel_image_trace(m)
         assert op_distance(kit, schur_feedback(m)) <= 1e-8
 
 
-def test_kit_rejects_non_factoring_input():
+def test_kit_reports_the_residual_of_a_non_factoring_input():
     # near-isometry with an exact kernel: A = 1 so (I - A) = 0, but B = eps
     # does not vanish.  The defect is eps^2 = 1e-12 (inside the gate) while
-    # the factorization residual is eps = 1e-6, far above 100 * tol.
+    # the factorization residual is eps = 1e-6, above the law tolerance.
     eps = 1e-6
     s = np.sqrt(1.0 + eps * eps)
-    op = Operator([[1.0, -eps / s], [eps, 1.0 / s]])
-    assert isometry_defect(op) <= 1e-9
-    with pytest.raises(FactorizationError):
-        kernel_image_trace(BlockMap(op, 1, 1, 1))
+    bm = BlockMap(Operator([[1.0, -eps / s], [eps, 1.0 / s]]), 1, 1, 1)
+    assert isometry_defect(bm.op) <= 1e-9
+    out, residual = kernel_image_trace(bm)
+    assert residual == pytest.approx(eps)
+    assert op_distance(out, schur_feedback(bm)) == 0.0
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-4, 2e-5, 1.5e-5, 1e-5])
+def test_kit_reports_the_rank_cutoff_on_the_theta_family(theta):
+    # once theta^2 / 3 falls below RANK_TOL the cutoff drops the cos(theta)
+    # loop direction that B and C still see: the kit returns, and its
+    # residual shows what the closed form silently flipped
+    bm = theta_blockmap(theta)
+    out, residual = kernel_image_trace(bm)
+    if theta ** 2 / 3 > RANK_TOL:
+        assert residual <= 1e-8
+    else:
+        assert residual >= 1e-6
+        assert op_distance(out, schur_feedback(bm)) <= 1e-12
 
 
 # -------------------------------------------------------------- scalar_star
