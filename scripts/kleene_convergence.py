@@ -13,6 +13,8 @@ from the coupling blocks exactly (Bv = 0 and v*C = 0), so the partial
 sums see only the strictly contractive part and converge geometrically;
 the peripheral and kernel families make that visible.  Each instance
 prints one row; the gap column reports the distance to the closed form.
+The exit code is 1 when a row did not converge or its gap exceeds the law
+suite's tolerance, CheckConfig().tolerance.
 """
 
 import argparse
@@ -24,6 +26,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from qta.axioms import CheckConfig  # noqa: E402
 from qta.linalg import Operator, op_distance, random_isometry  # noqa: E402
 from qta.trace import BlockMap, kleene_feedback, schur_feedback  # noqa: E402
 
@@ -68,7 +71,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--per-family", type=int, default=3)
     parser.add_argument("--max-n", type=int, default=50_000)
-    parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--jsonl", help="write one record per run here")
     args = parser.parse_args(argv)
 
@@ -79,7 +81,7 @@ def main(argv=None):
             u = a.shape[0]
             bm = BlockMap(Operator(completion(a)), u, u, u)
             closed = schur_feedback(bm)
-            out, rep = kleene_feedback(bm, max_n=args.max_n, tol=args.tol)
+            out, rep = kleene_feedback(bm, max_n=args.max_n)
             rows.append({
                 "family": family, "spectrum": spectrum,
                 "steps": rep.steps, "residual": rep.residual,
@@ -100,7 +102,9 @@ def main(argv=None):
             for row in rows:
                 fh.write(json.dumps(row) + "\n")
         print(f"wrote {len(rows)} records to {args.jsonl}", file=sys.stderr)
-    return 0
+    tolerance = CheckConfig().tolerance
+    return int(not all(row["converged"] and row["gap"] <= tolerance
+                       for row in rows))
 
 
 if __name__ == "__main__":

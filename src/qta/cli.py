@@ -4,9 +4,11 @@ Automaton files are JSON: {"kind": "dqta"|"qta", "h": .., "k": .., "l": ..,
 "matrix": [[[re, im], ...], ...], "labels": ...} with the matrix row-major
 over the H (x) interface basis (state factor outermost) and every entry a
 two-element [re, im] pair of JSON numbers.  A qta record omits "l" and
-stores its rank in "k".  Labels are optional and purely presentational:
-{"input": [...], "output": [...]} for dqta, a single list for qta.  They
-are validated against the interface dims and dropped before any algebra.
+stores its rank in "k".  Labels are optional: {"input": [...], "output":
+[...]} for dqta, a single list for qta, validated against the interface
+dims.  No algebra reads them, but chain and bidir's name route take their
+(L,*)-then-(R,*) split from them, and compose, tensor, feedback, bidir
+and chain carry them into their output.
 The writer checks labels and transition with the loader's own code, so
 every file qta writes can be read back, and refuses a transition whose
 read-back (READ_BACK_BYTES_PER_ENTRY bytes per dense entry) exceeds

@@ -8,8 +8,8 @@ Three semantics for closing the U loop of an isometric block operator:
   It is the input gate plus ``closed_form(f, 1, u)``.  The one loop
   closer, unchecked and shared with dqta.feedback_dqta, is ``closed_form``:
   it closes f: H (x) (U (+) K) -> H (x) (U (+) L) over H (x) U.
-* ``kleene_feedback``: the limit of D + B (I + A + ... + A^n) C with a
-  convergence witness; running out of max_n is reported, never averaged.
+* ``kleene_feedback``: the limit of D + B (I + A + ... + A^n) C to machine
+  precision; running out of max_n is reported, never averaged.
 * ``kernel_image_trace``: factor B and C through (I - A) and combine the
   factors, returned with the factorization residual; on an isometry the
   factors exist (below), so the residual measures only the rank cutoff.
@@ -150,37 +150,35 @@ def schur_feedback(m: BlockMap) -> Operator:
     return closed_form(m.op, 1, m.u)
 
 
-def kleene_feedback(m: BlockMap, max_n: int = 100_000, tol: float = 1e-10):
+def kleene_feedback(m: BlockMap, max_n: int = 100_000):
     """Feedback as the limit of D + B (I + A + ... + A^n) C.
 
-    Iterates the partial sums, stopping once the increment B A^n C falls
-    to tol or max_n is reached.  Returns (operator, report); running out
-    of max_n is reported, never raised or averaged.  The input must be an
-    isometry within ISOMETRY_TOL, as for the other two semantics; tol
-    only stops the iteration.
+    Adds the increments B A^n C until u in a row are at most machine
+    epsilon, below the precision of an isometry's entries (modulus <= 1).
+    One is not enough: B C = 0 while B A C != 0 when C feeds a loop
+    direction B does not read, but u zeros in a row make every later one
+    0 (Cayley-Hamilton).  Returns (operator, report); running out of
+    max_n + 1 steps is reported, never raised or averaged.  The input
+    must be an isometry within ISOMETRY_TOL.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
     check_defect(isometry_defect(m.op), "feedback input must be an isometry")
-    a, b, c, d = split_blocks(m)
-    if m.u == 0:
-        return d, ConvergenceReport(steps=0, residual=0.0, converged=True)
-
-    # S_n = I + A + ... + A^n, iterate f_n = D + B S_n C, increment
-    # f_n - f_{n-1} = B (S_n - S_{n-1}) C, B A^n C as rounded in S_n.
-    power = np.eye(m.u, dtype=complex)          # A^n
-    prev = np.zeros((m.u, m.u), dtype=complex)  # S_{n-1}
-    residual = float("inf")
-    steps = 0
+    a, b, c, out = _blocks(m.op.mat, 1, m.u, m.k, m.l)
+    if b.size == 0 or c.size == 0:
+        return owned(out), ConvergenceReport(steps=0, residual=0.0, converged=True)
+    eps = np.finfo(float).eps
+    walk, quiet = b, 0        # B A^n; increments at most eps in a row
     for steps in range(max_n + 1):
-        partial = prev + power
-        increment = b.mat @ (partial - prev) @ c.mat
-        residual = float(np.max(np.abs(increment))) if increment.size else 0.0
-        prev = partial
-        if residual <= tol:
+        increment = walk @ c
+        out += increment
+        residual = np.abs(increment).max()
+        quiet = quiet + 1 if residual <= eps else 0
+        if quiet == m.u:
             break
-        power = a.mat @ power
-    out = owned(d.mat + b.mat @ prev @ c.mat)
-    return out, ConvergenceReport(steps=steps, residual=residual,
-                                  converged=residual <= tol)
+        walk = walk @ a
+    return owned(out), ConvergenceReport(steps=steps, residual=float(residual),
+                                         converged=quiet == m.u)
 
 
 def kernel_image_trace(m: BlockMap):

@@ -174,7 +174,7 @@ def test_partial_sum_feedback_converges_and_matches_closed_form(announce):
         radius = float(np.max(np.abs(np.linalg.eigvals(bm.op.mat[:u, :u]))))
         if radius > 0.999:
             continue
-        out, report = kleene_feedback(bm, tol=1e-10)
+        out, report = kleene_feedback(bm)
         all_converged = all_converged and report.converged
         worst_gap = max(worst_gap, op_distance(out, schur_feedback(bm)))
         count += 1

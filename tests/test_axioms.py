@@ -18,7 +18,8 @@ from qta.axioms import (
     serialize_reports,
     suite_passed,
 )
-from qta.trace import ConvergenceReport, scalar_star
+from qta.linalg import Operator, sum_swap
+from qta.trace import ConvergenceReport, kleene_feedback, scalar_star
 
 
 def test_config_rejects_bad_fields():
@@ -176,7 +177,7 @@ def test_worst_seed_identifies_an_instance():
 @pytest.mark.parametrize("residual", [0.25, 3.0])
 def test_kleene_that_does_not_converge_fails_by_one_plus_its_residual(
         monkeypatch, residual):
-    def stalled(m, max_n, tol):
+    def stalled(m, max_n=100_000):
         return None, ConvergenceReport(max_n, residual, converged=False)
 
     monkeypatch.setattr(axioms, "kleene_feedback", stalled)
@@ -184,6 +185,27 @@ def test_kleene_that_does_not_converge_fails_by_one_plus_its_residual(
                                       law_set=("kleene-equivalence",)))
     assert report.max_violation == 1.0 + residual
     assert not report.passed
+
+
+def test_kleene_falls_back_to_a_zero_loop_when_no_draw_contracts(monkeypatch):
+    # every draw has loop block I (radius 1), so each instance after the
+    # first gives up after 100 draws and closes sum_swap(k, k) instead
+    seen = []
+
+    def spy(m):
+        seen.append(m)
+        return kleene_feedback(m)
+
+    monkeypatch.setattr(axioms, "random_isometry",
+                        lambda rows, cols, rng: Operator(np.eye(rows, cols)))
+    monkeypatch.setattr(axioms, "kleene_feedback", spy)
+    [report] = run_checks(CheckConfig(instances=4,
+                                      law_set=("kleene-equivalence",)))
+    assert report.passed and report.max_violation <= 1e-13
+    assert len(seen) == 4
+    for m in seen[1:]:
+        assert m.u == m.k == m.l
+        assert np.array_equal(m.op.mat, sum_swap(m.k, m.k).mat)
 
 
 def test_counterexample_fails_by_exactly_one():

@@ -632,6 +632,7 @@ def _record_text(kind="dqta", h=1, k=1, l=1, matrix=(), **extra):
 _STRETCHED = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 _STRETCHED[0] *= np.sqrt(1 + 1.5e-9)
 _LR = ["(L,1)", "(R,1)"]
+_IDENTITY_2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 _CELL = ["cell", "--states", "1", "--bits", "0", "-o", "{t}/out.json"]
 
 
@@ -678,6 +679,24 @@ _CELL = ["cell", "--states", "1", "--bits", "0", "-o", "{t}/out.json"]
         labels={"input": _LR, "output": _LR}),
      ["bidir", "{t}/f.json", "--route", "name", "-o", "{t}/out.json"],
      "{t}/f.json: the name route needs a unitary square transition"),
+    (_record_text(k=2, l=2, matrix=_IDENTITY_2,
+                  labels={"input": _LR, "output": _LR[::-1]}),
+     ["chain", "{t}/f.json", "--n", "2", "-o", "{t}/out.json"],
+     "{t}/f.json: chain needs interfaces labeled as matching (L,*) and "
+     "(R,*) halves"),
+    (_record_text(k=2, l=2, matrix=_IDENTITY_2,
+                  labels={"input": _LR[::-1], "output": _LR[::-1]}),
+     ["chain", "{t}/f.json", "--n", "2", "-o", "{t}/out.json"],
+     "{t}/f.json: chain needs interfaces labeled as matching (L,*) and "
+     "(R,*) halves"),
+    # the syntax error lies outside the matrix, which the flat reader splits
+    # off first
+    ('{"kind": "dqta", "h": 1, "k": 1, "l": 1, "matrix": [[[1, 0]]], oops}',
+     ["validate", "{t}/f.json"],
+     "{t}/f.json:1:64: Expecting property name enclosed in double quotes"),
+    ('{"kind": "dqta", "h": 1, "k": 1, "l": 1, "matrix": [[["é", 0]]]}',
+     ["validate", "{t}/f.json"],
+     "{t}/f.json: matrix entry (0,0) must be a [re, im] pair"),
 ])
 def test_command_errors_exit_1_with_their_message(tmp_path, capsys, text,
                                                   argv, message):
@@ -697,6 +716,13 @@ def test_simulate_rejects_what_no_command_sends(value, initial, message):
     with pytest.raises(ValueError) as err:
         simulate(value, initial, 1)
     assert str(err.value) == message
+
+
+def test_writer_rejects_what_no_command_sends(tmp_path):
+    with pytest.raises(ValueError) as err:
+        write_automaton(3, str(tmp_path / "out.json"))
+    assert str(err.value) == "cannot serialize int"
+    assert not os.path.exists(tmp_path / "out.json")
 
 
 def test_validation_failure_exits_1(tmp_path, capsys):

@@ -395,6 +395,13 @@ def test_witness_that_is_not_square_is_infinitely_far():
     assert witnessed_distance(t1, t2, Operator([[1.0], [0.0]])) == float("inf")
 
 
+
+def test_witness_of_the_wrong_shape_is_rejected_with_its_message():
+    t1, t2 = rand_dqta(1, 2, 2, seed=37), rand_dqta(2, 2, 2, seed=38)
+    with pytest.raises(ShapeError) as err:
+        witnessed_distance(t1, t2, identity(2))
+    assert str(err.value) == "witness is 2x2, expected 2x1"
+
 # ------------------------------------------------------------------ dagger
 
 def test_dagger_involution():

@@ -122,6 +122,12 @@ def test_adjoint_reverses_composition(seed):
     assert op_distance(lhs, rhs) <= 1e-12
 
 
+
+def test_op_distance_rejects_operators_of_different_shapes():
+    with pytest.raises(ShapeError) as err:
+        op_distance(identity(2), identity(3))
+    assert str(err.value) == "cannot compare 2x2 with 3x3"
+
 # ------------------------------------------------------------- kron / dsum
 
 def test_kron_identities():

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -215,6 +218,12 @@ def test_kleene_u_zero():
     assert op_distance(out, op) == 0.0
 
 
+def test_kleene_rejects_a_negative_budget():
+    with pytest.raises(ValueError) as err:
+        kleene_feedback(BlockMap(SWAP, 1, 1, 1), max_n=-1)
+    assert str(err.value) == "max_n must be nonnegative, got -1"
+
+
 def test_kleene_agrees_with_schur_at_radius_half():
     rng = np.random.default_rng(22)
     for i in range(20):
@@ -223,19 +232,39 @@ def test_kleene_agrees_with_schur_at_radius_half():
         radius = max(np.abs(np.linalg.eigvals(a)))
         a = 0.5 * a / radius  # spectral radius exactly 0.5
         m = dilation_blockmap(a)
-        out, report = kleene_feedback(m, max_n=10_000, tol=1e-12)
+        out, report = kleene_feedback(m, max_n=10_000)
         assert report.converged
         assert op_distance(out, schur_feedback(m)) <= 1e-8
 
 
 def test_kleene_reports_nonconvergence_when_budget_too_small():
-    # loop eigenvalue 0.999: increments decay like 0.999^n, far above the
-    # tolerance after 50 steps, and the report must say so rather than
+    # loop eigenvalue 0.999: the walk B A^n decays like 0.999^n, far above
+    # machine epsilon after 50 steps, and the report must say so rather than
     # pretend the last iterate is the limit
     m = dilation_blockmap(np.array([[0.999]]))
-    out, report = kleene_feedback(m, max_n=50, tol=1e-12)
+    out, report = kleene_feedback(m, max_n=50)
     assert not report.converged
     assert report.residual > 1e-12
+
+
+def test_kleene_runs_to_machine_precision_at_radius_0999():
+    # an increment-size stop at 1e-10 ended 1.0e-7 from the closed form here
+    m = dilation_blockmap(np.array([[0.999]]))
+    out, report = kleene_feedback(m)
+    assert report.converged
+    assert op_distance(out, schur_feedback(m)) <= 1e-12
+
+
+def test_kleene_follows_a_path_that_b_cannot_see_in_one_step():
+    # k -> u1 -> u2 -> l: the first increment B C is exactly 0, and a stop
+    # at the first small increment returned D = 0; the answer is B A C, and
+    # the increments after it are 0 twice in a row (u = 2)
+    mat = np.zeros((3, 3))
+    mat[1, 0] = mat[2, 1] = mat[0, 2] = 1.0
+    m = BlockMap(Operator(mat), 2, 1, 1)
+    out, report = kleene_feedback(m)
+    assert np.array_equal(out.mat, [[1.0]])
+    assert report.converged and report.steps == 3
 
 
 def test_kleene_converges_on_unit_modulus_loop_eigenvalues():
@@ -253,12 +282,45 @@ def test_kleene_converges_on_unit_modulus_loop_eigenvalues():
 
 
 def test_kleene_gates_input_at_isometry_tol_not_at_its_stopping_tol():
-    # input defect 4.4e-16: above the stopping tol, far below ISOMETRY_TOL
+    # input defect 4.4e-16: above the machine-epsilon stop, far below
+    # ISOMETRY_TOL
     m = BlockMap(random_isometry(6, 4, 3), 2, 2, 4)
-    assert isometry_defect(m.op) > 1e-16
-    out, report = kleene_feedback(m, tol=1e-16)
+    assert isometry_defect(m.op) > np.finfo(float).eps
+    out, report = kleene_feedback(m)
     assert report.converged
     assert op_distance(out, schur_feedback(m)) <= 1e-14
+
+
+def convergence_script():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "kleene_convergence.py")
+    spec = importlib.util.spec_from_file_location("kleene_convergence", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_convergence_script_exits_0_when_every_row_matches(capsys):
+    assert convergence_script().main(["--per-family", "1"]) == 0
+    assert " False " not in capsys.readouterr().out
+
+
+def test_convergence_script_exits_1_on_a_row_that_does_not_converge(capsys):
+    assert convergence_script().main(["--per-family", "1", "--max-n", "3"]) == 1
+    assert capsys.readouterr().out.count(" False ") == 7
+
+
+def test_convergence_script_exits_1_on_a_gap_above_the_law_tolerance(
+        monkeypatch, capsys):
+    # a converged row 2e-8 from the closed form, above CheckConfig's 1e-8
+    def off(m, max_n):
+        return (Operator(schur_feedback(m).mat + 2e-8),
+                ConvergenceReport(steps=0, residual=0.0, converged=True))
+
+    script = convergence_script()
+    monkeypatch.setattr(script, "kleene_feedback", off)
+    assert script.main(["--per-family", "1"]) == 1
+    assert " False " not in capsys.readouterr().out
 
 
 # ------------------------------------------------------ kernel_image_trace
