@@ -34,7 +34,6 @@ from .trace import (
     kleene_feedback,
     scalar_star,
     schur_feedback,
-    split_blocks,
 )
 from .dqta import (
     Dqta,
@@ -42,7 +41,6 @@ from .dqta import (
     cascade,
     dagger_dqta,
     feedback_dqta,
-    iso_witness_check,
     make_dqta,
     make_unitary_dqta,
     turing_tensor,
@@ -88,76 +86,3 @@ from .cli import (
     simulate,
     write_automaton,
 )
-
-__all__ = [
-    "ISOMETRY_TOL",
-    "IsometryError",
-    "Operator",
-    "RANK_TOL",
-    "ShapeError",
-    "adjoint",
-    "dsum",
-    "identity",
-    "isometry_defect",
-    "kron",
-    "monomial",
-    "mp_inverse",
-    "op_distance",
-    "random_isometry",
-    "sum_swap",
-    "summand_index",
-    "tensor_swap",
-    "unitary_defect",
-    "zeros",
-    "BlockMap",
-    "ConvergenceReport",
-    "kernel_image_trace",
-    "kleene_feedback",
-    "scalar_star",
-    "schur_feedback",
-    "split_blocks",
-    "Dqta",
-    "UnitaryDqta",
-    "cascade",
-    "dagger_dqta",
-    "feedback_dqta",
-    "iso_witness_check",
-    "make_dqta",
-    "make_unitary_dqta",
-    "turing_tensor",
-    "unit_automata",
-    "witnessed_distance",
-    "Int0Morphism",
-    "Qta",
-    "as_int0",
-    "bidirectionalize",
-    "canonical_trace",
-    "functor_image",
-    "int_compose",
-    "int_dagger",
-    "int_identity",
-    "int_symmetry",
-    "int_tensor",
-    "int_units",
-    "make_qta",
-    "name_of",
-    "unname",
-    "EXPECTED_FAIL",
-    "LAW_GROUPS",
-    "CheckConfig",
-    "LawReport",
-    "conway_counterexample",
-    "instance_seed",
-    "run_checks",
-    "serialize_reports",
-    "suite_passed",
-    "AutomatonFile",
-    "SimulationTrace",
-    "build_cell",
-    "cell_labels",
-    "chain_cells",
-    "parse_automaton",
-    "run_command",
-    "simulate",
-    "write_automaton",
-]

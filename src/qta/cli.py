@@ -185,7 +185,7 @@ def _split_matrix(text):
             text[:start] + _SPLICE + text[end.end():],
             parse_constant=lambda name: (_SPLICED if name == _SPLICE
                                          else float(name)))
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(record, dict) or record.get("matrix") is not _SPLICED:
         return None
@@ -299,12 +299,18 @@ def _load_flat(text, path):
                          _check_labels(record, kind, k, l, path))
 
 
-def _load_nested(text, path):
+def _parse_json(text, path):
+    """json.loads(text), its failures as a ValueError naming path."""
     try:
-        record = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def _load_nested(text, path):
+    record = _parse_json(text, path)
     kind, h, k, l = _check_header(record, path)
     matrix = _entries_to_matrix(record["matrix"], (h * l, h * k), path)
     return AutomatonFile(kind, h, k, l, matrix,
@@ -322,12 +328,15 @@ def load_record(path) -> AutomatonFile:
     return _load_flat(text, path) or _load_nested(text, path)
 
 
-def _checked_value(record: AutomatonFile):
-    """(value, defect) of a record, checked as its constructor checks it:
-    a qta's unitary defect or a dqta's isometry defect, with a unitary
-    dqta as a UnitaryDqta.  No gram product is computed twice.  A
-    monomial matrix comes back carrying its form (linalg.carried)."""
-    tau = carried(record.matrix)
+def _checked_value(record: AutomatonFile, path):
+    """(value, defect) of the record read from path, checked as its
+    constructor checks it: a qta's unitary or a dqta's isometry defect,
+    with a unitary dqta as a UnitaryDqta.  No gram product is computed
+    twice.  A monomial matrix comes back carrying its form (carried)."""
+    try:
+        tau = carried(record.matrix)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     defect = isometry_defect(tau)
     if record.kind == "qta":
         defect = check_defect(max(defect, isometry_defect(adjoint(tau))),
@@ -343,7 +352,7 @@ def _checked_value(record: AutomatonFile):
 def parse_automaton(path):
     """Dqta or Qta from a file; unitary square transitions come back as
     UnitaryDqta."""
-    return _checked_value(load_record(path))[0]
+    return _checked_value(load_record(path), path)[0]
 
 
 def _read_dqta(command, *paths):
@@ -353,7 +362,7 @@ def _read_dqta(command, *paths):
     for record, path in zip(records, paths):
         if record.kind != "dqta":
             raise ValueError(f"{path}: {command} works on dqta records")
-    return [(record, _checked_value(record)[0]) for record in records]
+    return [(r, _checked_value(r, p)[0]) for r, p in zip(records, paths)]
 
 
 # Peak bytes per dense entry of reading a file back, about 300 (writing: 220)
@@ -560,7 +569,7 @@ def _write(value, path, labels):
 
 
 def _cmd_validate(args):
-    value, defect = _checked_value(load_record(args.file))
+    value, defect = _checked_value(load_record(args.file), args.file)
     if isinstance(value, Qta):
         print(f"{args.file}: qta h={value.h} k={value.n} "
               f"unitary defect {defect:.3g}")
@@ -647,11 +656,8 @@ def _cmd_bidir(args):
 
 
 def _load_rule(path):
-    try:
-        with open(path) as fh:
-            rule = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    with open(path) as fh:
+        rule = _parse_json(fh.read(), path)
     if isinstance(rule, list):
         return rule
     if isinstance(rule, dict) and "matrix" in rule:

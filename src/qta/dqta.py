@@ -22,7 +22,7 @@ view into its four blocks, or follows paths on a carried form.
 Matrix conventions follow linalg: the state factor H is always the outer
 (slow) tensor factor, and interface summands concatenate in declaration
 order.  Equality of automata is only ever checked against an explicit
-state-space witness (iso_witness_check); no isomorphism search happens
+state-space witness (witnessed_distance); no isomorphism search happens
 anywhere.
 
 Validation policy: an operator is checked where it enters or leaves the
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .linalg import (
     Operator,
     ShapeError,
@@ -195,12 +194,6 @@ def witnessed_distance(t1: Dqta, t2: Dqta, sigma: Operator) -> float:
     moved = s @ t1.tau.mat.reshape(h, l * h * k)
     moved = (s.conj() @ moved.reshape(h * l, h, k)).reshape(h * l, h * k)
     return max(unitary_defect(sigma), op_distance(owned(moved), t2.tau))
-
-
-def iso_witness_check(t1: Dqta, t2: Dqta, sigma: Operator) -> bool:
-    """Does sigma witness t1 and t2 as the same machine within
-    ISOMETRY_TOL?"""
-    return witnessed_distance(t1, t2, sigma) <= linalg.ISOMETRY_TOL
 
 
 def dagger_dqta(t: Dqta) -> UnitaryDqta:

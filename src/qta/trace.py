@@ -99,11 +99,6 @@ def _blocks(mat, h, u, k, l):
                                     (loop, rest, u, k), (rest, rest, l, k)])
 
 
-def split_blocks(m: BlockMap):
-    """The four blocks (a, b, c, d) of the recorded split."""
-    return tuple(map(owned, _blocks(m.op.mat, 1, m.u, m.k, m.l)))
-
-
 def closed_form(f: Operator, h: int, u: int) -> Operator:
     """Close f: H (x) (U (+) K) -> H (x) (U (+) L) over H (x) U, unchecked
     (the caller vouches that f is an isometry): D + B (I - A)^+ C on the
@@ -191,15 +186,15 @@ def kernel_image_trace(m: BlockMap):
     C still sees; it is reported, never judged here.
     """
     check_defect(isometry_defect(m.op), "feedback input must be an isometry")
-    a, b, c, d = split_blocks(m)
-    n = np.eye(m.u) - a.mat
+    a, b, c, d = _blocks(m.op.mat, 1, m.u, m.k, m.l)
+    n = np.eye(m.u) - a
     pinv = mp_inverse(owned(n)).mat
-    k_factor = b.mat @ pinv          # minimal-norm solution of B = k (I - A)
-    i_factor = pinv @ c.mat          # minimal-norm solution of C = (I - A) i
-    res_b = float(np.max(np.abs(k_factor @ n - b.mat))) if b.mat.size else 0.0
-    res_c = float(np.max(np.abs(n @ i_factor - c.mat))) if c.mat.size else 0.0
-    via_k = d.mat + k_factor @ c.mat
-    via_i = d.mat + b.mat @ i_factor
+    k_factor = b @ pinv          # minimal-norm solution of B = k (I - A)
+    i_factor = pinv @ c          # minimal-norm solution of C = (I - A) i
+    res_b = float(np.max(np.abs(k_factor @ n - b))) if b.size else 0.0
+    res_c = float(np.max(np.abs(n @ i_factor - c))) if c.size else 0.0
+    via_k = d + k_factor @ c
+    via_i = d + b @ i_factor
     return owned((via_k + via_i) / 2.0), max(res_b, res_c)
 
 

@@ -385,8 +385,41 @@ def test_nan_entries_still_fail_as_non_finite(tmp_path):
     path = write_text(tmp_path, '{"kind": "dqta", "h": 1, "k": 1, "l": 1, '
                                 '"matrix": [[[NaN, 0.0]]]}')
     assert_loads_as_json(path, flat=False)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError) as err:
         parse_automaton(path)
+    assert str(err.value) == f"{path}: operator entries must be finite"
+
+
+@pytest.mark.parametrize("entry, flat", [("Infinity", False), ("1e999", True)])
+def test_non_finite_entries_name_the_file(tmp_path, capsys, entry, flat):
+    # json reads 1e999 as inf, so the flat reader hands it on as well
+    path = write_text(tmp_path, '{"kind": "dqta", "h": 1, "k": 1, "l": 1, '
+                                f'"matrix": [[[{entry}, 0.0]]]}}')
+    assert_loads_as_json(path, flat=flat)
+    assert run_command(["validate", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: operator entries must be finite\n")
+
+
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("text, argv", [
+    (_DEEP, ["validate"]),
+    ('{"kind": "dqta", "h": 1, "k": 1, "l": 1, "matrix": [[[1.0, 0.0]]], '
+     '"labels": ' + _DEEP + "}", ["validate"]),
+    ('{"matrix": ' + _DEEP + "}", ["cell", "--states", "1", "--bits", "0",
+                                   "-o", "out.json", "--rule"]),
+], ids=["whole-file", "labels", "rule"])
+def test_deeply_nested_json_is_an_error_not_a_traceback(tmp_path, text, argv):
+    path = write_text(tmp_path, text, "deep.json")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "qta", *argv, path], cwd=tmp_path,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 1
+    assert done.stderr == f"error: {path}: JSON nested too deeply to parse\n"
+    assert not os.path.exists(tmp_path / "out.json")
 
 
 # -------------------------------------------------------------------- cells

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qta.linalg import (
+    ISOMETRY_TOL,
     IsometryError,
     Operator,
     ShapeError,
@@ -23,7 +24,6 @@ from qta.dqta import (
     cascade,
     dagger_dqta,
     feedback_dqta,
-    iso_witness_check,
     make_dqta,
     make_unitary_dqta,
     turing_tensor,
@@ -98,8 +98,8 @@ def test_cascade_unit_laws():
     # the one-dimensional state factor is invisible in the flattened matrix
     assert op_distance(right.tau, t.tau) <= 1e-12
     assert op_distance(left.tau, t.tau) <= 1e-12
-    assert iso_witness_check(right, t, identity(t.h))
-    assert iso_witness_check(left, t, identity(t.h))
+    assert witnessed_distance(right, t, identity(t.h)) <= ISOMETRY_TOL
+    assert witnessed_distance(left, t, identity(t.h)) <= ISOMETRY_TOL
 
 
 def test_cascade_associative_on_the_nose():
@@ -331,7 +331,7 @@ def test_superposing():
 
 def test_witness_identity():
     t = rand_dqta(3, 2, 2, seed=31)
-    assert iso_witness_check(t, t, identity(3))
+    assert witnessed_distance(t, t, identity(3)) <= ISOMETRY_TOL
 
 
 def test_witness_conjugated_machine():
@@ -340,14 +340,14 @@ def test_witness_conjugated_machine():
     moved = Operator(kron(sigma, identity(2)).mat @ t1.tau.mat
                      @ kron(adjoint(sigma), identity(2)).mat)
     t2 = make_dqta(3, 2, 2, moved)
-    assert iso_witness_check(t1, t2, sigma)
-    assert not iso_witness_check(t1, t2, identity(3))
+    assert witnessed_distance(t1, t2, sigma) <= ISOMETRY_TOL
+    assert witnessed_distance(t1, t2, identity(3)) > ISOMETRY_TOL
 
 
 def test_witness_rejects_non_unitary():
     t = rand_dqta(2, 2, 2, seed=34)
     sigma = Operator([[1, 0], [1, 1]])
-    assert not iso_witness_check(t, t, sigma)
+    assert witnessed_distance(t, t, sigma) > ISOMETRY_TOL
     # the law suite reads the distance itself, so it must carry the defect
     assert witnessed_distance(t, t, sigma) >= unitary_defect(sigma) > 0.5
 
@@ -387,7 +387,7 @@ def test_witness_shape_errors():
     t1 = rand_dqta(2, 2, 2, seed=35)
     t2 = rand_dqta(2, 2, 3, seed=36)
     with pytest.raises(ShapeError):
-        iso_witness_check(t1, t2, identity(2))
+        witnessed_distance(t1, t2, identity(2))
 
 
 def test_witness_that_is_not_square_is_infinitely_far():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qta.linalg import (
+    ISOMETRY_TOL,
     IsometryError,
     Operator,
     ShapeError,
@@ -17,10 +18,10 @@ from qta.dqta import (
     cascade,
     dagger_dqta,
     feedback_dqta,
-    iso_witness_check,
     make_dqta,
     make_unitary_dqta,
     unit_automata,
+    witnessed_distance,
 )
 from qta.intcat import (
     Int0Morphism,
@@ -179,7 +180,7 @@ def test_dagger_contravariant_up_to_state_reordering():
     g = rand_int0(1, 2, 3, seed=9)
     lhs = int_dagger(int_compose(f, g))
     rhs = int_compose(int_dagger(g), int_dagger(f))
-    assert iso_witness_check(lhs.carrier, rhs.carrier, tensor_swap(2, 3))
+    assert witnessed_distance(lhs.carrier, rhs.carrier, tensor_swap(2, 3)) <= ISOMETRY_TOL
 
 
 # ------------------------------------------------------------------- tensor
@@ -200,7 +201,7 @@ def test_tensor_bifunctorial_up_to_state_reordering():
     lhs = int_compose(int_tensor(f, f2), int_tensor(g, g2))
     rhs = int_tensor(int_compose(f, g), int_compose(f2, g2))
     sigma = kron(kron(identity(2), tensor_swap(3, 2)), identity(2))
-    assert iso_witness_check(lhs.carrier, rhs.carrier, sigma)
+    assert witnessed_distance(lhs.carrier, rhs.carrier, sigma) <= ISOMETRY_TOL
 
 
 # ---------------------------------------------------------- canonical trace
@@ -278,14 +279,14 @@ def test_functor_preserves_composition_up_to_state_reordering():
     lhs = functor_image(cascade(t1, t2))
     rhs = int_compose(functor_image(t1), functor_image(t2))
     sigma = kron(kron(identity(2), tensor_swap(3, 2)), identity(3))
-    assert iso_witness_check(lhs.carrier, rhs.carrier, sigma)
+    assert witnessed_distance(lhs.carrier, rhs.carrier, sigma) <= ISOMETRY_TOL
 
 
 def test_functor_preserves_dagger_up_to_state_swap():
     t = rand_unitary(3, 2, seed=24)
     lhs = functor_image(dagger_dqta(t))
     rhs = int_dagger(functor_image(t))
-    assert iso_witness_check(lhs.carrier, rhs.carrier, tensor_swap(3, 3))
+    assert witnessed_distance(lhs.carrier, rhs.carrier, tensor_swap(3, 3)) <= ISOMETRY_TOL
 
 
 def test_functor_preserves_feedback_strictly():

@@ -23,13 +23,13 @@ from qta.linalg import (
 from qta.trace import (
     BlockMap,
     ConvergenceReport,
+    _blocks,
     closed_form,
     kernel_image_trace,
     kleene_feedback,
     path_feedback,
     scalar_star,
     schur_feedback,
-    split_blocks,
 )
 
 SWAP = Operator([[0, 1], [1, 0]])
@@ -56,23 +56,23 @@ def dilation_blockmap(a):
     return BlockMap(op, u, u, u)
 
 
-# ------------------------------------------------------------ split_blocks
+# ------------------------------------------------------------------ _blocks
 
-def test_split_blocks_swap():
-    a, b, c, d = split_blocks(BlockMap(SWAP, 1, 1, 1))
-    assert a.mat[0, 0] == 0 and d.mat[0, 0] == 0
-    assert b.mat[0, 0] == 1 and c.mat[0, 0] == 1
+def test_blocks_swap():
+    a, b, c, d = _blocks(SWAP.mat, 1, 1, 1, 1)
+    assert a[0, 0] == 0 and d[0, 0] == 0
+    assert b[0, 0] == 1 and c[0, 0] == 1
 
 
-def test_split_blocks_degenerate_splits():
+def test_blocks_degenerate_splits():
     op = random_isometry(3, 2, 0)
-    a, b, c, d = split_blocks(BlockMap(op, 0, 2, 3))
-    assert a.mat.shape == (0, 0) and b.mat.shape == (3, 0) and c.mat.shape == (0, 2)
-    assert op_distance(d, op) == 0.0
+    a, b, c, d = _blocks(op.mat, 1, 0, 2, 3)
+    assert a.shape == (0, 0) and b.shape == (3, 0) and c.shape == (0, 2)
+    assert op_distance(Operator(d), op) == 0.0
     sq = random_isometry(3, 3, 1)
-    a, b, c, d = split_blocks(BlockMap(sq, 3, 0, 0))
-    assert d.mat.shape == (0, 0)
-    assert op_distance(a, sq) == 0.0
+    a, b, c, d = _blocks(sq.mat, 1, 3, 0, 0)
+    assert d.shape == (0, 0)
+    assert op_distance(Operator(a), sq) == 0.0
 
 
 def test_blockmap_shape_validation():
@@ -129,12 +129,13 @@ def test_schur_core_identity_when_invertible():
         u = int(rng.integers(1, 6))
         k = int(rng.integers(1, 6))
         m = random_blockmap(u, k, k, int(rng.integers(0, 2**31)))
-        a, b, c, d = split_blocks(m)
-        n = np.eye(u) - a.mat
+        mat = m.op.mat
+        a, b, c, d = mat[:u, :u], mat[u:, :u], mat[:u, u:], mat[u:, u:]
+        n = np.eye(u) - a
         if np.linalg.cond(n) > 1e6:
             continue
         checked += 1
-        s = Operator(d.mat + b.mat @ np.linalg.inv(n) @ c.mat)
+        s = Operator(d + b @ np.linalg.inv(n) @ c)
         assert op_distance(Operator(adjoint(s).mat @ s.mat), identity(k)) <= 1e-8
         assert op_distance(s, schur_feedback(m)) <= 1e-8
     assert checked >= 40
