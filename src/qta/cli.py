@@ -14,15 +14,14 @@ every file qta writes can be read back, and refuses a transition whose
 read-back (READ_BACK_BYTES_PER_ENTRY bytes per dense entry) exceeds
 physical memory before building any text; cell, chain, compose, tensor
 and bidir's functor route refuse it from the dims of their valid
-arguments, before any algebra runs.  The loader finds the carried form of
-a monomial matrix (see linalg), and the writer builds the text of a
-carried form from it.
+arguments, before any algebra runs.
 
-The reader parses the matrix as one flat list of numbers and proves its
-[[[re, im], ...], ...] bracket structure separately (see _flat_matrix), so
-that json builds no list per entry; the file format is unchanged.  A file
-it cannot prove well formed is parsed whole as nested lists and checked
-entry by entry, which raises every loader error.
+The writer streams the text of a carried form (see linalg) row by row,
+each a zero row with at most one entry replaced.  The loader reads
+exactly that text back as the form (_read_carried), with no dense matrix
+and no number per entry.  Any other file is parsed whole as nested lists
+and checked entry by entry, which raises every loader error, and its
+matrix's form is found exactly (carried), so both give the same bits.
 
 The cell builder makes one tape cell: state space of alphabet_bits qubits,
 input and output interfaces split as left summands "(L,i)" then right
@@ -47,11 +46,11 @@ running out of memory, 2 usage errors.
 """
 
 import argparse
+import bisect
 import functools
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -98,7 +97,7 @@ class AutomatonFile:
     h: int
     k: int
     l: int
-    matrix: object
+    tau: Operator
     labels: object
 
 
@@ -134,100 +133,54 @@ def _entries_to_matrix(rows, shape, path):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+_ZERO_ENTRY = "[0.0, 0.0]"
+# entry j of a row starts _STRIDE * j characters after the row's first entry
+_STRIDE = len(_ZERO_ENTRY) + len(", ")
+
+
+def _zero_row(cols):
+    """The text of a row of cols zero entries."""
+    return "[" + ", ".join([_ZERO_ENTRY] * cols) + "]"
+
+
+def _row_pieces(zero, j, re_, im):
+    """The text of the zero row with entry j replaced by [re_, im], as
+    (before, entry, after) slices of it and the entry's text."""
+    cut = 1 + _STRIDE * j
+    return (zero[:cut], f"[{float(re_)!r}, {float(im)!r}]",
+            zero[cut + len(_ZERO_ENTRY):])
+
+
+def _head_text(kind, h, k, l):
+    """The text of an automaton file up to its matrix; a qta stores no l."""
+    record = {"kind": kind, "h": h, "k": k, **({} if kind == "qta" else {"l": l})}
+    return json.dumps(record)[:-1] + ', "matrix": '
+
+
+def _tail_text(labels):
+    """The text of an automaton file after its matrix."""
+    return "}\n" if labels is None else f', "labels": {json.dumps(labels)}}}\n'
+
+
 def _matrix_text(op):
-    """json.dumps of op's [[[re, im], ...], ...] entries; from a carried
-    form, whose rows hold at most one nonzero entry each, the text is built
-    row by row without the dense array."""
+    """json.dumps of op's [[[re, im], ...], ...] entries in pieces, made
+    lazily for a carried form, with no dense array and no whole text."""
     if op.form is None:
-        return json.dumps(np.stack([op.mat.real, op.mat.imag], axis=-1).tolist())
+        return [json.dumps(np.stack([op.mat.real, op.mat.imag], axis=-1).tolist())]
+    return _carried_text(op)
+
+
+def _carried_text(op):
     target, phase = op.form
     source = np.full(op.rows, -1)
     source[target] = np.arange(op.cols)
-    zero = "[0.0, 0.0]"
-    rows = []
-    for j in source.tolist():
-        if j < 0:
-            rows.append("[" + ", ".join([zero] * op.cols) + "]")
-        else:
-            entry = f"[{float(phase[j].real)!r}, {float(phase[j].imag)!r}]"
-            rows.append("[" + (zero + ", ") * j + entry
-                        + (", " + zero) * (op.cols - j - 1) + "]")
-    return "[" + ", ".join(rows) + "]"
-
-
-_MATRIX_KEY = re.compile(r'"matrix"\s*:\s*\[')
-_MATRIX_END = re.compile(r'\]\s*\]\s*\]')
-# spliced in place of the matrix: a JSON constant reaches parse_constant as
-# its raw text, so no escape sequence can forge it
-_SPLICE = "Infinity"
-_SPLICED = object()
-_NUMBER_CHARS = b"0123456789.eE+-"
-_NUMBERS_TO_MARKS = bytes.maketrans(_NUMBER_CHARS, b"#" * len(_NUMBER_CHARS))
-_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
-
-
-def _split_matrix(text):
-    """(record, matrix text): the record parsed with the text of its
-    top-level "matrix" value cut out, or None.  The cut starts at the first
-    '"matrix": [' and ends at the next ']]]' (whitespace allowed between
-    the brackets); it stands for the value json.loads keeps, the last
-    "matrix" of the top-level object, only when the spliced record's
-    "matrix" is the splice."""
-    key = _MATRIX_KEY.search(text)
-    if key is None or _SPLICE in text:
-        return None
-    start = key.end() - 1
-    end = _MATRIX_END.search(text, start)
-    if end is None:
-        return None
-    try:
-        record = json.loads(
-            text[:start] + _SPLICE + text[end.end():],
-            parse_constant=lambda name: (_SPLICED if name == _SPLICE
-                                         else float(name)))
-    except (ValueError, RecursionError):
-        return None
-    if not isinstance(record, dict) or record.get("matrix") is not _SPLICED:
-        return None
-    return record, text[start:end.end()]
-
-
-def _matrix_skeleton(rows, cols):
-    """The text of a rows x cols matrix of [re, im] pairs without its
-    numbers and whitespace."""
-    row = b"[" + b",".join([b"[,]"] * cols) + b"]"
-    return b"[" + b",".join([row] * rows) + b"]"
-
-
-def _flat_matrix(text, rows, cols):
-    """The rows x cols matrix that json.loads(text) would give as nested
-    [re, im] lists, or None when text cannot be shown to be one.
-
-    Text with its numbers and whitespace deleted is the exact skeleton,
-    and no number follows ']' or precedes '['.  json parses the numbers as
-    one flat list, with the brackets blanked, so each [re, im] slot holds
-    exactly one number on either side of its comma: the list holds
-    2*rows*cols numbers, and text is the nested array of them in order.
-    The skeleton is built only once its length, rows*(4*cols + 2) + 1,
-    matches the text, so a header larger than the file allocates nothing.
-    A zero-size matrix never matches: its skeleton does not end in ']]]'.
-    """
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    marks = raw.translate(_NUMBERS_TO_MARKS, b" \t\n\r")
-    brackets = marks.translate(None, b"#")
-    if (b"]#" in marks or b"#[" in marks
-            or len(brackets) != rows * (4 * cols + 2) + 1
-            or brackets != _matrix_skeleton(rows, cols)):
-        return None
-    try:
-        flat = json.loads(b"[" + raw.translate(_BRACKETS_TO_SPACES) + b"]")
-        arr = np.array(flat, dtype=float).reshape(rows, cols, 2)
-    except (ValueError, OverflowError):
-        return None
-    return arr[..., 0] + 1j * arr[..., 1]
+    zero = _zero_row(op.cols)
+    yield "["
+    for i, j in enumerate(source.tolist()):
+        yield ", " if i else ""
+        yield from (_row_pieces(zero, j, phase[j].real, phase[j].imag)
+                    if j >= 0 else [zero])
+    yield "]"
 
 
 def _require_int(record, field, path):
@@ -247,7 +200,7 @@ def _check_label_list(values, n, where, path):
 
 
 def _check_header(record, path):
-    """(kind, h, k, l) of a parsed record, which must have a "matrix"."""
+    """(kind, h, k, l) of a parsed record."""
     if not isinstance(record, dict):
         raise ValueError(f"{path}: top level must be an object")
     kind = record.get("kind")
@@ -264,8 +217,6 @@ def _check_header(record, path):
             raise ValueError(f"{path}: qta records store their rank in 'k'; "
                              "field 'l' is not allowed")
         l = k
-    if "matrix" not in record:
-        raise ValueError(f"{path}: missing field 'matrix'")
     return kind, h, k, l
 
 
@@ -282,21 +233,62 @@ def _check_labels(record, kind, k, l, path):
             "output": _check_label_list(labels["output"], l, "output", path)}
 
 
-def _load_flat(text, path):
-    """The record, with its matrix read by _flat_matrix, or None."""
-    split = _split_matrix(text)
-    if split is None:
-        return None
-    record, matrix_text = split
+def _read_carried(text, path):
+    """The record, its transition a carried form, when text is exactly what
+    write_automaton writes for one; None for any other text.
+
+    Each row is the zero row or has entry j replaced (_row_pieces) by a
+    nonzero finite [re, im] in floats' reprs, j distinct, found by
+    bisection and checked in place with startswith.  Phases are built as
+    _entries_to_matrix builds entries, so the form is carried()'s on
+    json's matrix, bit for bit.  Nothing sized by the header is built
+    before the text is long enough for that many entries."""
     try:
+        # the writer's header is far shorter than 200 characters
+        record = json.loads(text[:text.index(', "matrix": ', 0, 200)] + "}")
         kind, h, k, l = _check_header(record, path)
     except ValueError:
         return None
-    matrix = _flat_matrix(matrix_text, h * l, h * k)
-    if matrix is None:
+    head = _head_text(kind, h, k, l) + "["
+    rows, cols = h * l, h * k
+    if (not rows or not cols or not text.startswith(head)
+            or len(text) - len(head) < rows * (_STRIDE * cols + 2)):
         return None
-    return AutomatonFile(kind, h, k, l, matrix,
-                         _check_labels(record, kind, k, l, path))
+    p = len(head)
+    zero = _zero_row(cols)
+    found = {}  # column: (row, re, im)
+    for i in range(rows):
+        pieces = [zero]
+        if not text.startswith(zero, p):
+            # the last j before which the row reads as the zero row
+            j = bisect.bisect_left(range(1, cols), True, key=lambda c: (
+                not text.startswith(zero[:1 + _STRIDE * c], p)))
+            entry = p + 1 + _STRIDE * j
+            close = text.find("]", entry)
+            try:
+                re_, im = map(float, text[entry + 1:max(close, entry)].split(", "))
+            except ValueError:
+                return None
+            if (j in found or re_ == im == 0
+                    or not (math.isfinite(re_) and math.isfinite(im))):
+                return None
+            found[j] = (i, re_, im)
+            pieces = _row_pieces(zero, j, re_, im)
+        for piece in (*pieces, ", " if i + 1 < rows else "]"):
+            if not text.startswith(piece, p):
+                return None
+            p += len(piece)
+    tail = text[p:]
+    try:
+        rest = json.loads("{" + tail.removeprefix(", "))
+        labels = _check_labels(rest, kind, k, l, path)
+    except (ValueError, RecursionError):
+        return None
+    if len(found) != cols or tail != _tail_text(labels):
+        return None
+    row, res, ims = map(np.array, zip(*(found[j] for j in range(cols))))
+    return AutomatonFile(kind, h, k, l, monomial(rows, row, res + 1j * ims),
+                         labels)
 
 
 def _parse_json(text, path):
@@ -309,34 +301,43 @@ def _parse_json(text, path):
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
+def _operator(build, matrix, path):
+    """build(matrix), its ValueError naming path."""
+    try:
+        return build(matrix)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_nested(text, path):
+    """The record of any file: parsed whole as nested lists, checked entry
+    by entry, its transition carrying the form carried() finds."""
     record = _parse_json(text, path)
     kind, h, k, l = _check_header(record, path)
-    matrix = _entries_to_matrix(record["matrix"], (h * l, h * k), path)
-    return AutomatonFile(kind, h, k, l, matrix,
-                         _check_labels(record, kind, k, l, path))
+    if "matrix" not in record:
+        raise ValueError(f"{path}: missing field 'matrix'")
+    # popped, so that the lists are freed before carried() copies the array
+    matrix = _entries_to_matrix(record.pop("matrix"), (h * l, h * k), path)
+    labels = _check_labels(record, kind, k, l, path)
+    return AutomatonFile(kind, h, k, l, _operator(carried, matrix, path), labels)
 
 
 def load_record(path) -> AutomatonFile:
     """Read and structurally validate one automaton file.
 
-    Records whose matrix _load_flat can read take that path; every other
-    file, including every malformed one, is parsed whole as nested lists,
-    which raises the errors."""
+    Text that write_automaton wrote for a carried form is read by
+    _read_carried; every other file, including every malformed one, is
+    parsed whole as nested lists, which raises the errors."""
     with open(path) as fh:
         text = fh.read()
-    return _load_flat(text, path) or _load_nested(text, path)
+    return _read_carried(text, path) or _load_nested(text, path)
 
 
-def _checked_value(record: AutomatonFile, path):
-    """(value, defect) of the record read from path, checked as its
-    constructor checks it: a qta's unitary or a dqta's isometry defect,
-    with a unitary dqta as a UnitaryDqta.  No gram product is computed
-    twice.  A monomial matrix comes back carrying its form (carried)."""
-    try:
-        tau = carried(record.matrix)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _checked_value(record: AutomatonFile):
+    """(value, defect) of a loaded record, checked as its constructor
+    checks it: a qta's unitary or a dqta's isometry defect, with a unitary
+    dqta as a UnitaryDqta.  No gram product is computed twice."""
+    tau = record.tau
     defect = isometry_defect(tau)
     if record.kind == "qta":
         defect = check_defect(max(defect, isometry_defect(adjoint(tau))),
@@ -352,22 +353,22 @@ def _checked_value(record: AutomatonFile, path):
 def parse_automaton(path):
     """Dqta or Qta from a file; unitary square transitions come back as
     UnitaryDqta."""
-    return _checked_value(load_record(path), path)[0]
+    return _checked_value(load_record(path))[0]
 
 
 def _read_dqta(command, *paths):
     """(record, value) of each dqta file, checked as parse_automaton checks
-    it; every file is read and kind-checked before any matrix is."""
+    it; every file is read and kind-checked before any transition is."""
     records = [load_record(path) for path in paths]
     for record, path in zip(records, paths):
         if record.kind != "dqta":
             raise ValueError(f"{path}: {command} works on dqta records")
-    return [(r, _checked_value(r, p)[0]) for r, p in zip(records, paths)]
+    return [(r, _checked_value(r)[0]) for r in records]
 
 
-# Peak bytes per dense entry of reading a file back, about 300 (writing: 220)
+# Peak bytes per dense entry of reading a file back, 238.7 (writing: 220.8)
 # by tracemalloc on dense Haar files of side 256 and 512, with 25% to spare.
-READ_BACK_BYTES_PER_ENTRY = 384
+READ_BACK_BYTES_PER_ENTRY = 300
 
 
 def _refuse_oversized(rows, cols, path):
@@ -399,24 +400,21 @@ def write_automaton(value, path, labels=None):
     checks, so that every file written can be read back; a transition whose
     dense array exceeds physical memory is refused before any text."""
     if isinstance(value, Qta):
-        record = {"kind": "qta", "h": value.h, "k": value.n}
-        defect = unitary_defect(value.tau)
+        kind, k, l, defect = "qta", value.n, value.n, unitary_defect(value.tau)
     elif isinstance(value, Dqta):
-        record = {"kind": "dqta", "h": value.h, "k": value.k, "l": value.l}
-        defect = isometry_defect(value.tau)
+        kind, k, l, defect = "dqta", value.k, value.l, isometry_defect(value.tau)
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")
-    labels = _check_labels({"labels": labels}, record["kind"], record["k"],
-                           record.get("l"), path)
+    labels = _check_labels({"labels": labels}, kind, k, l, path)
     check_defect(defect, f"{path}: refusing to write a transition the "
                  "loader would reject")
     _refuse_oversized(value.tau.rows, value.tau.cols, path)
-    # the text of json.dumps(record) with "matrix" and "labels" appended
-    parts = [json.dumps(record)[:-1], ', "matrix": ', _matrix_text(value.tau)]
-    if labels is not None:
-        parts += [', "labels": ', json.dumps(labels)]
+    # a dense matrix's text is built before the file is opened
+    matrix = _matrix_text(value.tau)
     with open(path, "w") as fh:
-        fh.writelines(parts + ["}\n"])
+        fh.write(_head_text(kind, value.h, k, l))
+        fh.writelines(matrix)
+        fh.write(_tail_text(labels))
 
 
 # ------------------------------------------------------------- cell builders
@@ -569,7 +567,7 @@ def _write(value, path, labels):
 
 
 def _cmd_validate(args):
-    value, defect = _checked_value(load_record(args.file), args.file)
+    value, defect = _checked_value(load_record(args.file))
     if isinstance(value, Qta):
         print(f"{args.file}: qta h={value.h} k={value.n} "
               f"unitary defect {defect:.3g}")
@@ -664,8 +662,8 @@ def _load_rule(path):
         rows = rule["matrix"]
         if not isinstance(rows, list) or not rows:
             raise ValueError(f"{path}: rule matrix must be a nonempty list")
-        size = len(rows)
-        return _entries_to_matrix(rows, (size, size), path)
+        return _operator(Operator, _entries_to_matrix(rows, (len(rows),) * 2,
+                                                      path), path)
     raise ValueError(f"{path}: rule must be a list of pairs or an object "
                      "with a 'matrix' field")
 

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qta import cli
 from qta.cli import (
@@ -138,7 +139,7 @@ def test_loader_carries_the_form_of_a_monomial_file_exactly(tmp_path):
     # a repeated target row: tau^dagger tau = [[1, 1], [1, 1]]
     repeated = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     record = load_record(two_by_two_file(tmp_path, repeated))
-    assert linalg.carried(record.matrix).form is None
+    assert record.tau.form is None
     with pytest.raises(IsometryError) as err:
         parse_automaton(two_by_two_file(tmp_path, repeated))
     assert err.value.defect == 1.0
@@ -198,7 +199,7 @@ def test_shipped_examples_round_trip(tmp_path):
         dest = str(tmp_path / os.path.basename(src))
         write_automaton(value, dest, record.labels)
         again = load_record(dest)
-        assert np.array_equal(again.matrix, record.matrix)
+        assert np.array_equal(again.tau.mat, record.tau.mat)
         assert again.labels == record.labels
         assert (again.kind, again.h, again.k, again.l) == (
             record.kind, record.h, record.k, record.l)
@@ -254,17 +255,29 @@ def json_decode(path):
     return arr[..., 0] + 1j * arr[..., 1], labels
 
 
-def assert_loads_as_json(path, flat):
-    """load_record gives json's matrix bit for bit; flat says whether the
-    flat-list reader may read the file."""
+def assert_same_form(f, g):
+    """f and g carry the same form, to the bit, or both none."""
+    assert f.shape == g.shape
+    assert (f.form is None) == (g.form is None)
+    if f.form is not None:
+        for a, b in zip(f.form, g.form):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+def assert_loads_as_json(path, carried_text):
+    """load_record gives json's matrix bit for bit, carrying the form
+    linalg.carried finds in it; carried_text says whether the carried-text
+    reader reads the file."""
     record = load_record(path)
     matrix, labels = json_decode(path)
-    assert record.matrix.dtype == matrix.dtype
-    assert record.matrix.shape == matrix.shape
-    assert record.matrix.tobytes() == matrix.tobytes()
+    assert record.tau.mat.dtype == matrix.dtype
+    assert record.tau.mat.shape == matrix.shape
+    assert record.tau.mat.tobytes() == matrix.tobytes()
+    assert_same_form(record.tau, linalg.carried(matrix))
     assert record.labels == labels
     with open(path) as fh:
-        assert (cli._load_flat(fh.read(), path) is not None) == flat
+        assert (cli._read_carried(fh.read(), path) is not None) == carried_text
 
 
 def write_text(tmp_path, text, name="t.json"):
@@ -278,7 +291,7 @@ def test_shipped_examples_load_as_json_does():
     files = sorted(glob.glob(os.path.join(DATA_DIR, "*.json")))
     assert len(files) == 5
     for path in files:
-        assert_loads_as_json(path, flat=True)
+        assert_loads_as_json(path, carried_text=True)
 
 
 def test_reformatted_records_load_as_json_does(tmp_path):
@@ -292,12 +305,12 @@ def test_reformatted_records_load_as_json_does(tmp_path):
                                        (matrix_last, None),
                                        (matrix_last, "\t")]):
         path = write_text(tmp_path, json.dumps(rec, indent=indent), f"{i}.json")
-        assert_loads_as_json(path, flat=True)
+        assert_loads_as_json(path, carried_text=False)
     # ints, exponents, signed zeros and an int beyond 64 bits
     text = ('{"kind": "qta", "h": 1, "k": 2, "matrix": '
             '[[[1E+0, -0.0], [0, 0]], [[-0, 12345678901234567890123], '
             '[ 1e-3 ,-2.5E-1 ]]]}')
-    assert_loads_as_json(write_text(tmp_path, text), flat=True)
+    assert_loads_as_json(write_text(tmp_path, text), carried_text=False)
 
 
 MATRIX = '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]'
@@ -305,23 +318,25 @@ SWAPPED = '[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]'
 LABELS = '"labels": {"input": ["a", "b"], "output": ["c", "d"]}'
 
 
-@pytest.mark.parametrize("text, flat", [
+@pytest.mark.parametrize("text, carried_text", [
     ('{"kind": "dqta", "x\\"matrix": ' + SWAPPED + ', "h": 1, "k": 2, '
-     '"l": 2, "matrix": ' + MATRIX + '}', False),
+     '"l": 2, "matrix": ' + MATRIX + '}\n', False),
     ('{"notes": {"matrix": ' + SWAPPED + '}, "kind": "dqta", "h": 1, '
-     '"k": 2, "l": 2, "matrix": ' + MATRIX + '}', False),
+     '"k": 2, "l": 2, "matrix": ' + MATRIX + '}\n', False),
     ('{"kind": "dqta", "h": 1, "k": 2, "l": 2, "matrix": ' + SWAPPED + ', '
-     + LABELS + ', "matrix": ' + MATRIX + '}', False),
+     + LABELS + ', "matrix": ' + MATRIX + '}\n', False),
     ('{"kind": "dqta", "h": 1, "k": 2, "l": 2, "matrix": ' + MATRIX + ', '
      '"labels": {"input": ["Infinity", "\\"matrix\\": [[["], '
-     '"output": ["]]]", "c"]}}', False),
+     '"output": ["]]]", "c"]}}\n', True),
     ('{"kind": "dqta", "h": 1, "k": 2, "l": 2, "matrix": ' + MATRIX + ', '
-     '"labels": {"input": ["\\u0049nfinity", "b"], "output": ["c", "d"]}}',
-     True),
+     '"labels": {"input": ["\\u0049nfinity", "b"], "output": ["c", "d"]}}\n',
+     False),
 ], ids=["escaped-key", "nested-key", "duplicate-key", "placeholder-label",
         "escaped-placeholder-label"])
-def test_unusual_layouts_load_as_json_does(tmp_path, text, flat):
-    assert_loads_as_json(write_text(tmp_path, text), flat)
+def test_unusual_layouts_load_as_json_does(tmp_path, text, carried_text):
+    # the carried reader takes only the writer's own text: json.dumps
+    # escapes no "I", so an escaped one is not that text
+    assert_loads_as_json(write_text(tmp_path, text), carried_text)
 
 
 @pytest.mark.parametrize("k, l, matrix", [(0, 0, "[]"), (1, 0, "[]"),
@@ -329,11 +344,130 @@ def test_unusual_layouts_load_as_json_does(tmp_path, text, flat):
 def test_zero_size_matrices_take_the_nested_reader(tmp_path, k, l, matrix):
     text = ('{"kind": "dqta", "h": 1, "k": %d, "l": %d, "matrix": %s}'
             % (k, l, matrix))
-    path = write_text(tmp_path, text)
-    assert cli._load_flat(text, path) is None
+    path = write_text(tmp_path, text + "\n")
+    assert cli._read_carried(text + "\n", path) is None
     record = load_record(path)
-    assert record.matrix.shape == (l, k)
-    assert record.matrix.dtype == complex
+    assert record.tau.shape == (l, k)
+    assert record.tau.mat.dtype == complex
+
+
+# phases with signed-zero parts: re + 1j * im, as the loaders build entries,
+# keeps the sign of the real -0.0 in -0.0 - 1j and drops the other three
+SIGNED_ZERO_PHASES = [complex(1.0, -0.0), complex(-0.0, 1.0),
+                      complex(-1.0, -0.0), complex(-0.0, -1.0)]
+
+
+@st.composite
+def carried_automata(draw):
+    """(value, labels): a carried isometry, square or tall, with phases
+    +-1, uniform unit phases or signed-zero parts, as a dqta or (square) a
+    qta, with or without labels."""
+    h, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    l = draw(st.integers(k, k + 3))
+    rows, cols = h * l, h * k
+    target = draw(st.permutations(range(rows)))[:cols]
+    family = draw(st.sampled_from(["sign", "unit", "signed-zero"]))
+    if family == "unit":
+        angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=cols,
+                               max_size=cols))
+        phase = np.exp(1j * np.array(angles))
+    else:
+        choices = [1.0, -1.0] if family == "sign" else SIGNED_ZERO_PHASES
+        phase = draw(st.lists(st.sampled_from(choices), min_size=cols,
+                              max_size=cols))
+    tau = monomial(rows, target, phase)
+    names = st.lists(st.text(max_size=4), min_size=k, max_size=k)
+    if k == l and draw(st.booleans()):
+        return Qta(h, k, tau), draw(st.none() | names)
+    labels = st.fixed_dictionaries({
+        "input": names,
+        "output": st.lists(st.text(max_size=4), min_size=l, max_size=l)})
+    return Dqta(h, k, l, tau), draw(st.none() | labels)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(carried_automata())
+def test_carried_reader_reads_the_writer_as_json_does(tmp_path, case):
+    value, labels = case
+    path = str(tmp_path / "t.json")
+    write_automaton(value, path, labels)
+    with open(path) as fh:
+        record = cli._read_carried(fh.read(), path)
+    assert record is not None
+    matrix, json_labels = json_decode(path)
+    assert record.tau.mat.tobytes() == matrix.tobytes()
+    assert_same_form(record.tau, linalg.carried(matrix))
+    assert record.labels == json_labels
+    with open(path) as fh:
+        header = json.load(fh)
+    assert (record.kind, record.h, record.k, record.l) == (
+        header["kind"], header["h"], header["k"], header.get("l", header["k"]))
+
+
+def assert_falls_back_as_json_does(path):
+    """The carried reader declines the file, and load_record raises json's
+    error, the finite check's, or loads json's matrix bit for bit."""
+    with open(path) as fh:
+        text = fh.read()
+    assert cli._read_carried(text, path) is None
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(ValueError) as err:
+            load_record(path)
+        assert str(err.value) == f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
+        return
+    if np.all(np.isfinite(json_decode(path)[0])):
+        assert_loads_as_json(path, carried_text=False)
+    else:
+        assert_non_finite_fails_to_load(path)
+
+
+# edits of the writer's text for Dqta(1, 3, 4, SIGNED), whose rows are
+# [0, 1.0 - 0.0j, 0], [0, 0, -0.6 - 0.8j], [0, 0, 0], [-0.0 + 1.0j, 0, 0]
+NEAR_MISSES = {
+    "int-token": ("[1.0, -0.0]", "[1, -0.0]"),
+    "inner-space": ("[1.0, -0.0]", "[1.0, -0.0 ]"),
+    "trailing-zero": ("[-0.6, -0.8]", "[-0.60, -0.8]"),
+    "exponent": ("[1.0, -0.0]", "[1E0, -0.0]"),
+    "int-signed-zero": ("[[-0.0, 1.0]", "[[-0, 1.0]"),
+    "zero-phase": ("[1.0, -0.0]", "[0.0, -0.0]"),
+    "nan": ("[1.0, -0.0]", "[nan, -0.0]"),
+    "NaN": ("[1.0, -0.0]", "[NaN, -0.0]"),
+    "inf": ("[1.0, -0.0]", "[inf, -0.0]"),
+    "Infinity": ("[1.0, -0.0]", "[Infinity, -0.0]"),
+    "1e999": ("[1.0, -0.0]", "[1e999, -0.0]"),
+    "bare-fraction": ("[-0.6, -0.8]", "[-.6, -0.8]"),
+    "signed-zero-in-zero-row": ("[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]",
+                                "[[0.0, 0.0], [0.0, -0.0], [0.0, 0.0]]"),
+    "two-in-a-row": ("[[0.0, 0.0], [1.0, -0.0]", "[[0.5, 0.0], [1.0, -0.0]"),
+    "two-in-a-column": ("[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]",
+                        "[[0.0, 0.0], [0.0, 0.0], [0.6, 0.8]]"),
+    "empty-column": ("[[-0.0, 1.0], [0.0, 0.0]", "[[0.0, 0.0], [0.0, 0.0]"),
+    "column-twice": ("[[-0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]",
+                     "[[0.0, 0.0], [0.0, 0.0], [-0.0, 1.0]]"),
+    "row-separator": ("-0.8]], [[", "-0.8]],[["),
+    "header-space": ('"h": 1', '"h":1'),
+    "header-leading-zero": ('"h": 1', '"h": 01'),
+    "leading-space": ('{"kind"', '{ "kind"'),
+    "labels-space": ('"input": ', '"input":'),
+    "before-labels": ("]]], ", "]]] , "),
+    "no-newline": ("}}\n", "}}"),
+    "trailing-space": ("}}\n", "}} \n"),
+}
+
+
+@pytest.mark.parametrize("old, new", NEAR_MISSES.values(), ids=NEAR_MISSES)
+def test_near_miss_texts_take_the_nested_reader(tmp_path, old, new):
+    path = str(tmp_path / "t.json")
+    write_automaton(Dqta(1, 3, 4, SIGNED), path,
+                    {"input": ("a", "b", "c"), "output": ("p", "q", "r", "s")})
+    with open(path) as fh:
+        text = fh.read()
+    assert cli._read_carried(text, path) is not None
+    assert text.count(old) == 1
+    assert_falls_back_as_json_does(write_text(tmp_path, text.replace(old, new)))
 
 
 @pytest.mark.parametrize("h", [500, 100000])
@@ -372,7 +506,7 @@ def test_non_json_numbers_fail_as_json_does(tmp_path, matrix):
     text = ('{"kind": "dqta", "h": 1, "k": 1,\n "l": 2, "matrix": '
             + matrix + '}')
     path = write_text(tmp_path, text)
-    assert cli._split_matrix(text) is not None
+    assert cli._read_carried(text, path) is None
     with pytest.raises(json.JSONDecodeError) as exc:
         json.loads(text)
     expected = f"{path}:{exc.value.lineno}:{exc.value.colno}: {exc.value.msg}"
@@ -381,21 +515,30 @@ def test_non_json_numbers_fail_as_json_does(tmp_path, matrix):
     assert str(err.value) == expected
 
 
+def assert_non_finite_fails_to_load(path):
+    """Neither reader gives a transition: the carried reader declines the
+    file and the nested one names it in the finite check's error."""
+    with open(path) as fh:
+        assert cli._read_carried(fh.read(), path) is None
+    for load in (load_record, parse_automaton):
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: operator entries must be finite"
+
+
 def test_nan_entries_still_fail_as_non_finite(tmp_path):
     path = write_text(tmp_path, '{"kind": "dqta", "h": 1, "k": 1, "l": 1, '
-                                '"matrix": [[[NaN, 0.0]]]}')
-    assert_loads_as_json(path, flat=False)
-    with pytest.raises(ValueError) as err:
-        parse_automaton(path)
-    assert str(err.value) == f"{path}: operator entries must be finite"
+                                '"matrix": [[[NaN, 0.0]]]}\n')
+    assert_non_finite_fails_to_load(path)
 
 
-@pytest.mark.parametrize("entry, flat", [("Infinity", False), ("1e999", True)])
-def test_non_finite_entries_name_the_file(tmp_path, capsys, entry, flat):
-    # json reads 1e999 as inf, so the flat reader hands it on as well
+@pytest.mark.parametrize("entry", ["Infinity", "1e999"])
+def test_non_finite_entries_name_the_file(tmp_path, capsys, entry):
+    # json reads 1e999 as inf; the carried reader rejects the token, which
+    # is not inf's repr, and the finite check names the file
     path = write_text(tmp_path, '{"kind": "dqta", "h": 1, "k": 1, "l": 1, '
-                                f'"matrix": [[[{entry}, 0.0]]]}}')
-    assert_loads_as_json(path, flat=flat)
+                                f'"matrix": [[[{entry}, 0.0]]]}}\n')
+    assert_non_finite_fails_to_load(path)
     assert run_command(["validate", path]) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: operator entries must be finite\n")
@@ -722,8 +865,8 @@ _CELL = ["cell", "--states", "1", "--bits", "0", "-o", "{t}/out.json"]
      ["chain", "{t}/f.json", "--n", "2", "-o", "{t}/out.json"],
      "{t}/f.json: chain needs interfaces labeled as matching (L,*) and "
      "(R,*) halves"),
-    # the syntax error lies outside the matrix, which the flat reader splits
-    # off first
+    # the syntax error lies after the matrix: it is json's error, as is
+    # every error the carried reader leaves to the nested one
     ('{"kind": "dqta", "h": 1, "k": 1, "l": 1, "matrix": [[[1, 0]]], oops}',
      ["validate", "{t}/f.json"],
      "{t}/f.json:1:64: Expecting property name enclosed in double quotes"),
@@ -749,6 +892,18 @@ def test_simulate_rejects_what_no_command_sends(value, initial, message):
     with pytest.raises(ValueError) as err:
         simulate(value, initial, 1)
     assert str(err.value) == message
+
+
+def test_writer_builds_dense_text_before_opening_the_file(tmp_path,
+                                                         monkeypatch):
+    # only a carried form's text is streamed into the open file
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli.np, "stack", out_of_memory)
+    with pytest.raises(MemoryError):
+        write_automaton(rand_dqta(1, 2, 2, 3), str(tmp_path / "out.json"))
+    assert not os.path.exists(tmp_path / "out.json")
 
 
 def test_writer_rejects_what_no_command_sends(tmp_path):
@@ -930,7 +1085,7 @@ def test_cell_and_chain_commands(tmp_path, capsys):
 
 def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     # side 4 * 4 ** 8 = 262144: the carried chain takes tens of megabytes,
-    # reading a dense copy back would take 24 TiB; the refusal comes from
+    # reading a dense copy back would take 19 TiB; the refusal comes from
     # the arguments
     cell = str(tmp_path / "cell.json")
     assert run_command(["cell", "--states", "2", "--bits", "2",
@@ -946,7 +1101,7 @@ def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out}: refusing to write a 262144x262144 "
-                          "transition: reading it back needs 24576.0 GiB")
+                          "transition: reading it back needs 19200.0 GiB")
     assert not os.path.exists(out)
     assert peak < 2 ** 20
 
@@ -1039,14 +1194,12 @@ def test_oversized_cell_is_refused_before_it_is_built(tmp_path, capsys, bits):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("first_label", ["x", "Infinity"])
-def test_writing_and_reading_back_stay_within_the_refusal_cost(
-        tmp_path, first_label):
+def test_writing_and_reading_back_stay_within_the_refusal_cost(tmp_path):
     # the refusal charges READ_BACK_BYTES_PER_ENTRY per dense entry; a
-    # dense side-256 file must write and load below that, on the flat
-    # reader and (an "Infinity" label) on the nested one
+    # dense side-256 file, which the nested reader reads, must write and
+    # load below that
     cell = make_unitary_dqta(64, 4, random_isometry(256, 256, 5))
-    labels = [first_label, "b", "c", "d"]
+    labels = ["a", "b", "c", "d"]
     path = str(tmp_path / "haar.json")
     budget = cli.READ_BACK_BYTES_PER_ENTRY * 256 * 256
     peaks = []
@@ -1060,7 +1213,7 @@ def test_writing_and_reading_back_stay_within_the_refusal_cost(
         finally:
             tracemalloc.stop()
     assert max(peaks) < budget
-    assert np.array_equal(load_record(path).matrix, cell.tau.mat)
+    assert np.array_equal(load_record(path).tau.mat, cell.tau.mat)
 
 
 def test_chain_command_requires_labels(tmp_path, capsys):
@@ -1069,6 +1222,16 @@ def test_chain_command_requires_labels(tmp_path, capsys):
     assert run_command(["chain", plain, "--n", "2",
                         "-o", str(tmp_path / "x.json")]) == 1
     assert "label" in capsys.readouterr().err
+
+
+def test_non_finite_rule_entries_name_the_rule_file(tmp_path, capsys):
+    rule = write_text(tmp_path, '{"matrix": [[[NaN, 0]]]}', "rule.json")
+    out = str(tmp_path / "cell.json")
+    assert run_command(["cell", "--states", "1", "--bits", "0",
+                        "--rule", rule, "-o", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {rule}: operator entries must be finite\n")
+    assert not os.path.exists(out)
 
 
 def test_cell_command_with_rule_file(tmp_path, capsys):
