@@ -539,8 +539,7 @@ def simulate(q, initial, steps) -> SimulationTrace:
             raise ValueError(f"initial state must have length {h * n}, "
                              f"got {v.shape[0]}")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > linalg.ISOMETRY_TOL:
-            raise ValueError(f"initial state norm {norm:.12g} is not 1")
+        check_defect(abs(norm - 1.0), f"initial state norm {norm:.12g} is not 1")
     masses = []
     norms = []
     for step in range(steps + 1):

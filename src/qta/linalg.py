@@ -58,9 +58,9 @@ class IsometryError(ValueError):
 
 
 def check_defect(defect: float, what: str) -> float:
-    """The one acceptance gate: defect, or IsometryError(what, defect) when
-    it exceeds ISOMETRY_TOL."""
-    if defect > ISOMETRY_TOL:
+    """The one acceptance gate: defect, or IsometryError(what, defect) unless
+    it is at most ISOMETRY_TOL (a NaN defect is not)."""
+    if not defect <= ISOMETRY_TOL:
         raise IsometryError(what, defect)
     return defect
 

@@ -55,10 +55,12 @@ from .linalg import (
     Operator,
     ShapeError,
     check_defect,
+    gather,
     isometry_defect,
     monomial,
     mp_inverse,
     owned,
+    summand_index,
 )
 
 @dataclass(frozen=True)
@@ -102,16 +104,14 @@ def _blocks(mat, h, u, k, l):
 def closed_form(f: Operator, h: int, u: int) -> Operator:
     """Close f: H (x) (U (+) K) -> H (x) (U (+) L) over H (x) U, unchecked
     (the caller vouches that f is an isometry): D + B (I - A)^+ C on the
-    blocks of a dense f.  A carried f is relabelled into the layout
-    (H (x) U) (+) (H (x) rest), loop columns first and row (a, y) at
-    a * u + y or h * u + a * l + y - u, and closed by path_feedback."""
+    blocks of a dense f.  A carried f is gathered into the distributivity
+    layout (H (x) U) (+) (H (x) rest) and closed by path_feedback."""
     k, l = f.cols // h - u, f.rows // h - u
     if f.form is not None:
-        target, phase = f.form
-        cols = np.argsort(np.arange(f.cols) % (u + k) >= u, kind="stable")
-        a, y = np.divmod(target[cols], u + l)
-        rows = np.where(y < u, a * u + y, h * u + a * l + y - u)
-        return path_feedback(monomial(f.rows, rows, phase[cols]), h * u)
+        rows, cols = (np.concatenate([summand_index(h, [u, n], [0]),
+                                      summand_index(h, [u, n], [1])])
+                      for n in (l, k))
+        return path_feedback(gather(f, rows, cols), h * u)
     a, b, c, d = _blocks(f.mat, h, u, k, l)
     pinv = mp_inverse(owned(np.eye(h * u) - a))
     return owned(d + b @ pinv.mat @ c)

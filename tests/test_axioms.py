@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +19,12 @@ from qta.axioms import (
     serialize_reports,
     suite_passed,
 )
-from qta.linalg import Operator, sum_swap
-from qta.trace import ConvergenceReport, kleene_feedback, scalar_star
+from qta.dqta import Dqta
+from qta.linalg import (Operator, gather, monomial, op_distance, owned,
+                        sum_swap, summand_index)
+from qta.trace import (BlockMap, ConvergenceReport, _blocks, kleene_feedback,
+                       scalar_star, schur_feedback)
+from test_linalg import random_monomial
 
 
 def test_config_rejects_bad_fields():
@@ -271,6 +276,27 @@ def test_report_lines_are_json_records():
         assert record["max_violation"] == r.max_violation
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_violation_fails_its_law_at_its_first_instance(
+        monkeypatch, bad):
+    values = {1: 5.0, 2: bad, 3: 7.0, 4: bad}
+
+    def stub(cfg, rng, idx):
+        return values.get(idx, 1e-12 * idx)
+
+    monkeypatch.setattr(axioms, "LAWS", (("dagger", "stub", stub),))
+    [report] = run_checks(CheckConfig(instances=6, law_set=("dagger",)))
+    assert not report.passed
+    assert report.worst_seed == instance_seed(0, 2)
+    record = json.loads(report_line(report))
+    assert record["pass"] is False
+    if math.isnan(bad):
+        assert math.isnan(report.max_violation)
+        assert math.isnan(record["max_violation"])
+    else:
+        assert report.max_violation == record["max_violation"] == bad
+
+
 def test_report_line_keeps_full_float_precision():
     value = 5.525982762272497e-11
     r = LawReport("trace-sliding", 1, value, True, 123)
@@ -284,3 +310,147 @@ def test_full_suite_passes_quickly():
     assert len(reports) == 35
     genuine = [r for r in reports if r.law not in EXPECTED_FAIL]
     assert max(r.max_violation for r in genuine) <= 1e-8
+
+
+# ------------------------------------------- the shared axioms, carried
+
+def injection(rng, rows, cols, signed):
+    """random_monomial's partial injection, with phases +-1 when signed and
+    uniform unit phases otherwise."""
+    f = random_monomial(rng, rows, cols)
+    if signed:
+        return monomial(rows, f.form[0], rng.choice([1.0, -1.0], cols))
+    return f
+
+
+def loop_walks(f, h, u):
+    """(whether a loop cycle exists, most loop steps of an input's path)
+    for a carried f: H (x) (U (+) K) -> H (x) (U (+) L) over H (x) U."""
+    rows, cols = (np.concatenate([summand_index(h, [u, n], [0]),
+                                  summand_index(h, [u, n], [1])])
+                  for n in (f.rows // h - u, f.cols // h - u))
+    target, n = gather(f, rows, cols).form[0], h * u
+    cycle = False
+    for j in range(n):
+        r = target[j]
+        for _ in range(n):
+            if r >= n or r == j:
+                break
+            r = target[r]
+        cycle = cycle or r == j
+    longest = 0
+    for c in range(n, len(target)):
+        r, steps = target[c], 0
+        while r < n:
+            r, steps = target[r], steps + 1
+        longest = max(longest, steps)
+    return cycle, longest
+
+
+def carried_axioms(C, rng, signed, auto):
+    """({axiom: violation} of every shared axiom in C on carried inputs,
+    [(transition, h, u)] of the draws that close a loop).  Automata take
+    h <= 3; sliding's s is stateless, since the two sides of sliding tensor
+    their state factors in different orders."""
+    def m(k, l, stateless=False):
+        if not auto:
+            return injection(rng, l, k, signed)
+        h = 1 if stateless else int(rng.integers(1, 4))
+        return Dqta(h, k, l, injection(rng, h * l, h * k, signed))
+
+    cap = 3 if auto else 5
+    u, v = (int(x) for x in rng.integers(1, cap, 2))
+    k = int(rng.integers(0, 3))
+    l = k + int(rng.integers(0, 3))
+    k0 = int(rng.integers(0, k + 1))
+    l2 = l + int(rng.integers(0, 2))
+    f, pair, square = m(u + k, u + l), m(u + v + k, u + v + l), m(u + k, u + k)
+    violations = {
+        "naturality-input": axioms._axiom_naturality_input(C, f, m(k0, k), u),
+        "naturality-output":
+            axioms._axiom_naturality_output(C, f, m(l, l2), u),
+        "sliding": axioms._axiom_sliding(C, f, m(u, u, True), u, k, l),
+        "vanishing-unit": axioms._axiom_vanishing_unit(C, f),
+        "vanishing-pair": axioms._axiom_vanishing_pair(C, pair, u, v),
+        "superposing": axioms._axiom_superposing(C, f, m(k0, l2), u),
+        "yanking": axioms._axiom_yanking(C, u),
+        "dagger": axioms._axiom_dagger(C, square, u),
+    }
+    tau = (lambda t: (t.tau, t.h)) if auto else (lambda t: (t, 1))
+    return violations, [(*tau(f), u), (*tau(pair), u + v), (*tau(square), u)]
+
+
+# no composite: the trace, tensor, units and dagger keep carried forms
+CARRIED_ONLY = {"vanishing-unit", "vanishing-pair", "superposing", "yanking",
+                "dagger"}
+# and of these, the ones that multiply no two phases
+NO_PHASE_PRODUCT = {"vanishing-unit", "superposing", "yanking"}
+
+
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("category", ["operators", "automata"])
+def test_shared_axioms_hold_on_carried_inputs(category, signed):
+    C = {"operators": axioms._OPERATORS, "automata": axioms._AUTOMATA}[category]
+    rng = np.random.default_rng(17)
+    worst, cycles, multi_step = {}, 0, 0
+    for _ in range(150):
+        violations, loops = carried_axioms(C, rng, signed,
+                                           category == "automata")
+        for name, v in violations.items():
+            worst[name] = max(worst.get(name, 0.0), v)
+        for tau, h, u in loops:
+            assert tau.form is not None
+            cycle, steps = loop_walks(tau, h, u)
+            cycles, multi_step = cycles + cycle, multi_step + (steps >= 2)
+    assert cycles >= 50 and multi_step >= 50
+    assert max(worst.values()) <= 1e-14, worst
+    exact = CARRIED_ONLY if signed else NO_PHASE_PRODUCT
+    assert all(worst[name] == 0.0 for name in exact), worst
+
+
+@pytest.mark.parametrize("category", ["operators", "automata"])
+def test_shared_axioms_see_a_negated_trace(category):
+    # -Tr is natural, slides and commutes with the dagger, but it fixes no
+    # unit, yanks to -1 and does not nest: the four statements that compare
+    # a trace with a constant or with another trace must see it
+    C = {"operators": axioms._OPERATORS, "automata": axioms._AUTOMATA}[category]
+
+    def negated(f, u):
+        out = C.tr(f, u)
+        if category == "operators":
+            return owned(-out.mat)
+        return Dqta(out.h, out.k, out.l, owned(-out.tau.mat))
+
+    rng = np.random.default_rng(5)
+    worst = {}
+    for _ in range(20):
+        violations, _ = carried_axioms(C._replace(tr=negated), rng, True,
+                                       category == "automata")
+        for name, v in violations.items():
+            worst[name] = max(worst.get(name, 0.0), v)
+    assert worst["vanishing-unit"] == worst["yanking"] == 2.0
+    assert worst["vanishing-pair"] == worst["superposing"] == 2.0
+    for name in ("naturality-input", "naturality-output", "sliding", "dagger"):
+        assert worst[name] <= 1e-14, (name, worst[name])
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_kleene_matches_schur_on_carried_blockmaps(signed):
+    # paths through several loop steps give increments B A^n C that are
+    # exactly 0 before a later one is not; the stop must outlast them
+    rng = np.random.default_rng(23)
+    late = 0
+    for _ in range(300):
+        u = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 4))
+        l = k + int(rng.integers(0, 3))
+        m = BlockMap(injection(rng, u + l, u + k, signed), u, k, l)
+        out, report = kleene_feedback(m)
+        assert report.converged
+        gap = op_distance(out, schur_feedback(m))
+        assert gap == 0.0 if signed else gap <= 1e-14
+        a, b, c, _ = _blocks(m.op.mat, 1, u, k, l)
+        zero = [not np.any(b @ np.linalg.matrix_power(a, n) @ c)
+                for n in range(u + 1)]
+        late += any(zero[n] and not zero[n + 1] for n in range(u))
+    assert late >= 50

@@ -2,8 +2,9 @@
 
 Each boundary that takes an operator in (constructors, the trace entry
 points, the file loader) or sends one out (the file writer) must reject a
-non-isometric input with its exact defect, and must read the threshold
-from linalg at call time, so raising linalg.ISOMETRY_TOL moves them all.
+non-isometric input with its exact defect, and a NaN defect too, and must
+read the threshold from linalg at call time, so raising
+linalg.ISOMETRY_TOL moves them all.
 """
 
 import json
@@ -13,11 +14,12 @@ import numpy as np
 import pytest
 
 from qta import linalg
-from qta.cli import load_record, parse_automaton, run_command, write_automaton
+from qta.cli import (load_record, parse_automaton, run_command, simulate,
+                     write_automaton)
 from qta.dqta import (Dqta, UnitaryDqta, dagger_dqta, make_dqta,
                       make_unitary_dqta)
 from qta.intcat import make_qta
-from qta.linalg import IsometryError, Operator
+from qta.linalg import IsometryError, Operator, monomial, owned
 from qta.trace import BlockMap, kernel_image_trace, kleene_feedback, schur_feedback
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -27,27 +29,32 @@ MAT = 1.5 * np.eye(2)
 DEFECT = float(np.max(np.abs(MAT.conj().T @ MAT - np.eye(2))))
 
 
-def _load(tmp_path):
+def _load(tmp_path, tau):
     path = str(tmp_path / "in.json")
     with open(path, "w") as fh:
         json.dump({"kind": "dqta", "h": 1, "k": 2, "l": 2,
-                   "matrix": [[[x, 0.0] for x in row] for row in MAT]}, fh)
+                   "matrix": [[[x, 0.0] for x in row] for row in tau.mat.real]},
+                  fh)
     return parse_automaton(path)
 
 
+def _write(tmp_path, tau):
+    write_automaton(Dqta(1, 2, 2, tau), str(tmp_path / "out.json"))
+
+
+# each boundary on a 2x2 transition tau
 BOUNDARIES = {
-    "make_dqta": lambda tmp: make_dqta(1, 2, 2, Operator(MAT)),
-    "make_unitary_dqta": lambda tmp: make_unitary_dqta(1, 2, Operator(MAT)),
-    "make_qta": lambda tmp: make_qta(1, 2, Operator(MAT)),
-    "dagger_dqta": lambda tmp: dagger_dqta(Dqta(1, 2, 2, Operator(MAT))),
-    "schur_feedback": lambda tmp: schur_feedback(BlockMap(Operator(MAT), 1, 1, 1)),
+    "make_dqta": lambda tau, tmp: make_dqta(1, 2, 2, tau),
+    "make_unitary_dqta": lambda tau, tmp: make_unitary_dqta(1, 2, tau),
+    "make_qta": lambda tau, tmp: make_qta(1, 2, tau),
+    "dagger_dqta": lambda tau, tmp: dagger_dqta(Dqta(1, 2, 2, tau)),
+    "schur_feedback": lambda tau, tmp: schur_feedback(BlockMap(tau, 1, 1, 1)),
     "kernel_image_trace":
-        lambda tmp: kernel_image_trace(BlockMap(Operator(MAT), 1, 1, 1)),
+        lambda tau, tmp: kernel_image_trace(BlockMap(tau, 1, 1, 1)),
     "kleene_feedback":
-        lambda tmp: kleene_feedback(BlockMap(Operator(MAT), 1, 1, 1)),
-    "parse_automaton": _load,
-    "write_automaton": lambda tmp: write_automaton(
-        Dqta(1, 2, 2, Operator(MAT)), str(tmp / "out.json")),
+        lambda tau, tmp: kleene_feedback(BlockMap(tau, 1, 1, 1)),
+    "parse_automaton": lambda tau, tmp: _load(tmp, tau),
+    "write_automaton": lambda tau, tmp: _write(tmp, tau),
 }
 
 
@@ -55,21 +62,53 @@ BOUNDARIES = {
 def test_boundary_rejects_with_the_exact_defect(boundary, tmp_path):
     assert DEFECT == 1.25
     with pytest.raises(IsometryError) as err:
-        BOUNDARIES[boundary](tmp_path)
+        BOUNDARIES[boundary](Operator(MAT), tmp_path)
     assert err.value.defect == DEFECT
+
+
+# a NaN defect is not at most the threshold: dense and carried NaN entries
+NAN_TRANSITIONS = {
+    "dense": lambda: owned(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)),
+    "carried": lambda: monomial(2, [0, 1], [np.nan, 1.0]),
+}
+
+
+@pytest.mark.parametrize("form", sorted(NAN_TRANSITIONS))
+@pytest.mark.parametrize("boundary",
+                         sorted(set(BOUNDARIES) - {"parse_automaton"}))
+def test_boundary_rejects_a_nan_transition(boundary, form, tmp_path):
+    tau = NAN_TRANSITIONS[form]()
+    assert np.isnan(linalg.isometry_defect(tau))
+    with pytest.raises(IsometryError) as err:
+        BOUNDARIES[boundary](tau, tmp_path)
+    assert np.isnan(err.value.defect)
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+def test_loader_refuses_a_nan_entry_before_the_gate(tmp_path):
+    # the loader's finite check sees a NaN first, so it never reaches the gate
+    with pytest.raises(ValueError, match="must be finite") as err:
+        BOUNDARIES["parse_automaton"](NAN_TRANSITIONS["dense"](), tmp_path)
+    assert not isinstance(err.value, IsometryError)
+
+
+def test_simulation_refuses_a_nan_initial_state():
+    cell = make_dqta(1, 2, 2, linalg.identity(2))
+    with pytest.raises(IsometryError, match="initial state norm nan is not 1"):
+        simulate(cell, np.array([np.nan, 0.0]), 1)
 
 
 @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
 def test_boundary_reads_the_threshold_from_linalg(boundary, tmp_path,
                                                   monkeypatch):
     monkeypatch.setattr(linalg, "ISOMETRY_TOL", 2.0)
-    BOUNDARIES[boundary](tmp_path)
+    BOUNDARIES[boundary](Operator(MAT), tmp_path)
 
 
 def test_unitary_inference_reads_the_threshold_from_linalg(tmp_path,
                                                          monkeypatch):
     monkeypatch.setattr(linalg, "ISOMETRY_TOL", 2.0)
-    assert type(_load(tmp_path)) is UnitaryDqta
+    assert type(_load(tmp_path, Operator(MAT))) is UnitaryDqta
 
 
 @pytest.mark.parametrize("labels", [
