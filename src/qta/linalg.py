@@ -41,6 +41,11 @@ RANK_TOL = 1e-10
 # Default acceptance threshold for max|f^dagger f - I|.
 ISOMETRY_TOL = 1e-9
 
+# isometry_defect's column block width: on 2 cores, side 1024 took 62 / 63 /
+# 62 ms at widths 64 / 128 / 256 and 1024x512 15 / 17 / 22 ms, against 91
+# and 23 ms for one full gram product.
+GRAM_BLOCK = 128
+
 
 class ShapeError(ValueError):
     """Operator dimensions do not conform."""
@@ -295,15 +300,25 @@ def mp_inverse(f: Operator) -> Operator:
 
 def isometry_defect(f: Operator) -> float:
     """max|f^dagger f - I|; zero exactly when f has orthonormal columns.
-    On a carried form f^dagger f is diagonal: max| |phase|^2 - 1 |."""
+    On a carried form f^dagger f is diagonal: max| |phase|^2 - 1 |.  Past
+    GRAM_BLOCK columns only the block upper triangle of the Hermitian gram is
+    formed, a column block at a time (the defect may move in its last bits);
+    up to GRAM_BLOCK columns, one full product.  A NaN stays a NaN."""
     if f.cols == 0:
         return 0.0
     if f.form is not None:
         phase = f.form[1]
         return float(np.max(np.abs(phase.real ** 2 + phase.imag ** 2 - 1.0)))
-    g = f.mat.conj().T @ f.mat
-    g.reshape(-1)[::f.cols + 1] -= 1.0  # a view: matmul returns C order
-    return float(np.abs(g).max())
+    if f.cols <= GRAM_BLOCK:
+        g = f.mat.conj().T @ f.mat
+        g.reshape(-1)[::f.cols + 1] -= 1.0  # a view: matmul returns C order
+        return float(np.abs(g).max())
+    fh, worst = f.mat.conj().T, 0.0
+    for s in range(0, f.cols, GRAM_BLOCK):
+        g = fh[:s + GRAM_BLOCK] @ f.mat[:, s:s + GRAM_BLOCK]  # rows to the block's end
+        g[s:].reshape(-1)[::g.shape[1] + 1] -= 1.0  # the block's diagonal
+        worst = np.maximum(worst, np.abs(g).max())  # max() would drop a NaN
+    return float(worst)
 
 
 def unitary_defect(f: Operator) -> float:

@@ -19,9 +19,9 @@ from qta.axioms import (
     serialize_reports,
     suite_passed,
 )
-from qta.dqta import Dqta
+from qta.dqta import Dqta, witnessed_distance
 from qta.linalg import (Operator, gather, monomial, op_distance, owned,
-                        sum_swap, summand_index)
+                        random_isometry, sum_swap, summand_index, tensor_swap)
 from qta.trace import (BlockMap, ConvergenceReport, _blocks, kleene_feedback,
                        scalar_star, schur_feedback)
 from test_linalg import random_monomial
@@ -351,7 +351,8 @@ def carried_axioms(C, rng, signed, auto):
     """({axiom: violation} of every shared axiom in C on carried inputs,
     [(transition, h, u)] of the draws that close a loop).  Automata take
     h <= 3; sliding's s is stateless, since the two sides of sliding tensor
-    their state factors in different orders."""
+    their state factors in different orders (a stateful s is checked up to
+    that swap below)."""
     def m(k, l, stateless=False):
         if not auto:
             return injection(rng, l, k, signed)
@@ -432,6 +433,31 @@ def test_shared_axioms_see_a_negated_trace(category):
     assert worst["vanishing-pair"] == worst["superposing"] == 2.0
     for name in ("naturality-input", "naturality-output", "sliding", "dagger"):
         assert worst[name] <= 1e-14, (name, worst[name])
+
+
+@pytest.mark.parametrize("carried", [False, True])
+def test_sliding_a_stateful_automaton_holds_up_to_the_state_swap(carried):
+    # the left side of sliding has state H_f (x) H_s, the right H_s (x) H_f,
+    # so they agree up to tensor_swap(h_f, h_s), not as plain transitions
+    rng = np.random.default_rng(29)
+    witnessed, plain = 0.0, 0.0
+    for _ in range(150):
+        u, k = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        l = k + int(rng.integers(0, 2))
+        hf, hs = (int(x) for x in rng.integers(1, 4, 2))
+        draw = ((lambda r, c: injection(rng, r, c, False)) if carried
+                else (lambda r, c: random_isometry(r, c, rng)))
+        f = Dqta(hf, u + k, u + l, draw(hf * (u + l), hf * (u + k)))
+        s = Dqta(hs, u, u, draw(hs * u, hs * u))
+        swap = tensor_swap(hf, hs)
+        C = axioms._AUTOMATA._replace(
+            dist=lambda a, b: witnessed_distance(a, b, swap))
+        witnessed = max(witnessed, axioms._axiom_sliding(C, f, s, u, k, l))
+        plain = max(plain,
+                    axioms._axiom_sliding(axioms._AUTOMATA, f, s, u, k, l))
+    assert witnessed <= (1e-14 if carried else 1e-12), witnessed
+    # about 2 where two unit phases meet with opposite signs
+    assert plain >= (1.9 if carried else 0.5), plain
 
 
 @pytest.mark.parametrize("signed", [True, False])

@@ -19,7 +19,8 @@ from qta.cli import (load_record, parse_automaton, run_command, simulate,
 from qta.dqta import (Dqta, UnitaryDqta, dagger_dqta, make_dqta,
                       make_unitary_dqta)
 from qta.intcat import make_qta
-from qta.linalg import IsometryError, Operator, monomial, owned
+from qta.linalg import (IsometryError, Operator, monomial, owned,
+                         random_isometry)
 from qta.trace import BlockMap, kernel_image_trace, kleene_feedback, schur_feedback
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -31,28 +32,32 @@ DEFECT = float(np.max(np.abs(MAT.conj().T @ MAT - np.eye(2))))
 
 def _load(tmp_path, tau):
     path = str(tmp_path / "in.json")
+    n = tau.rows
     with open(path, "w") as fh:
-        json.dump({"kind": "dqta", "h": 1, "k": 2, "l": 2,
-                   "matrix": [[[x, 0.0] for x in row] for row in tau.mat.real]},
-                  fh)
+        fh.write(json.dumps({"kind": "dqta", "h": 1, "k": n, "l": n,
+                             "matrix": [[[z.real, z.imag] for z in row]
+                                        for row in tau.mat.tolist()]}))
     return parse_automaton(path)
 
 
 def _write(tmp_path, tau):
-    write_automaton(Dqta(1, 2, 2, tau), str(tmp_path / "out.json"))
+    write_automaton(Dqta(1, tau.rows, tau.rows, tau), str(tmp_path / "out.json"))
 
 
-# each boundary on a 2x2 transition tau
+def _loop(tau):
+    """tau as a BlockMap with a one-dimensional loop."""
+    return BlockMap(tau, 1, tau.rows - 1, tau.rows - 1)
+
+
+# each boundary on a square transition tau, with no state
 BOUNDARIES = {
-    "make_dqta": lambda tau, tmp: make_dqta(1, 2, 2, tau),
-    "make_unitary_dqta": lambda tau, tmp: make_unitary_dqta(1, 2, tau),
-    "make_qta": lambda tau, tmp: make_qta(1, 2, tau),
-    "dagger_dqta": lambda tau, tmp: dagger_dqta(Dqta(1, 2, 2, tau)),
-    "schur_feedback": lambda tau, tmp: schur_feedback(BlockMap(tau, 1, 1, 1)),
-    "kernel_image_trace":
-        lambda tau, tmp: kernel_image_trace(BlockMap(tau, 1, 1, 1)),
-    "kleene_feedback":
-        lambda tau, tmp: kleene_feedback(BlockMap(tau, 1, 1, 1)),
+    "make_dqta": lambda tau, tmp: make_dqta(1, tau.rows, tau.rows, tau),
+    "make_unitary_dqta": lambda tau, tmp: make_unitary_dqta(1, tau.rows, tau),
+    "make_qta": lambda tau, tmp: make_qta(1, tau.rows, tau),
+    "dagger_dqta": lambda tau, tmp: dagger_dqta(Dqta(1, tau.rows, tau.rows, tau)),
+    "schur_feedback": lambda tau, tmp: schur_feedback(_loop(tau)),
+    "kernel_image_trace": lambda tau, tmp: kernel_image_trace(_loop(tau)),
+    "kleene_feedback": lambda tau, tmp: kleene_feedback(_loop(tau)),
     "parse_automaton": lambda tau, tmp: _load(tmp, tau),
     "write_automaton": lambda tau, tmp: _write(tmp, tau),
 }
@@ -82,6 +87,33 @@ def test_boundary_rejects_a_nan_transition(boundary, form, tmp_path):
     with pytest.raises(IsometryError) as err:
         BOUNDARIES[boundary](tau, tmp_path)
     assert np.isnan(err.value.defect)
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+# a side above linalg.GRAM_BLOCK takes the blocked gram; the entry sits in
+# its first or its last column block
+WIDE = 300
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("col", [3, WIDE - 3])
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_boundary_refuses_a_wide_non_finite_transition(boundary, col, value,
+                                                        tmp_path):
+    assert WIDE > 2 * linalg.GRAM_BLOCK
+    mat = random_isometry(WIDE, WIDE, 11).mat.copy()
+    mat[WIDE // 2, col] = value
+    tau = owned(mat)
+    defect = linalg.isometry_defect(tau)
+    assert np.isnan(defect) if np.isnan(value) else not np.isfinite(defect)
+    with pytest.raises(ValueError) as err:
+        BOUNDARIES[boundary](tau, tmp_path)
+    if boundary == "parse_automaton":  # its finite check comes first
+        assert "must be finite" in str(err.value)
+    else:
+        assert isinstance(err.value, IsometryError)
+        assert not np.isfinite(err.value.defect)
     assert not os.path.exists(tmp_path / "out.json")
 
 

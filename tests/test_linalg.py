@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qta.cli import build_cell
 from qta.dqta import Dqta, cascade, feedback_dqta, turing_tensor
 from qta.linalg import (
+    GRAM_BLOCK,
     RANK_TOL,
     Operator,
     ShapeError,
@@ -18,6 +21,7 @@ from qta.linalg import (
     monomial,
     mp_inverse,
     op_distance,
+    owned,
     random_isometry,
     sum_swap,
     summand_index,
@@ -403,6 +407,51 @@ def test_unitary_defect():
     # isometry that is not unitary would fail the square check before this
     f = Operator(np.diag([1.0, 0.5]))
     assert unitary_defect(f) == pytest.approx(0.75)
+
+
+def full_gram_defect(f):
+    """max|f^dagger f - I| from the one full gram product."""
+    g = f.mat.conj().T @ f.mat
+    g.reshape(-1)[::f.cols + 1] -= 1.0
+    return float(np.abs(g).max())
+
+
+@pytest.mark.parametrize("cols", [GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1,
+                                  2 * GRAM_BLOCK + 3, 300])
+@pytest.mark.parametrize("extra_rows", [0, 37])
+def test_blocked_gram_matches_the_full_product(cols, extra_rows):
+    f = random_isometry(cols + extra_rows, cols, cols)
+    skew = f.mat.copy()
+    # gram entry (row in the last block, column in the first) is formed only
+    # as its conjugate above the diagonal: column cols - 2 takes 1e-6 column 1
+    skew[:, cols - 2] += 1e-6 * skew[:, 1]
+    diag = f.mat.copy()
+    diag[:, cols - 1] *= 1.0 + 1e-6  # the last block's diagonal
+    cases = [(f, 0.0), (owned(skew), 1e-6), (owned(diag), 2e-6 + 1e-12)]
+    for op, expected in cases:
+        defect, reference = isometry_defect(op), full_gram_defect(op)
+        assert defect == pytest.approx(expected, abs=1e-12)
+        if cols <= GRAM_BLOCK:
+            assert defect == reference
+        else:
+            assert abs(defect - reference) <= 1e-15
+
+
+@pytest.mark.parametrize("cols", [5, 300])
+def test_an_operator_into_zero_dimensions_has_defect_one(cols):
+    assert isometry_defect(zeros(0, cols)) == full_gram_defect(zeros(0, cols)) == 1.0
+
+
+def test_blocked_gram_never_holds_a_full_gram():
+    f = random_isometry(512, 512, 4)
+    tracemalloc.start()
+    try:
+        isometry_defect(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one full gram, cols^2 complex entries, plus the conjugate copy of f
+    assert peak < 16 * f.cols ** 2 + 16 * f.rows * f.cols
 
 
 # --------------------------------------------------------- random_isometry
