@@ -32,7 +32,6 @@ from .trace import (
     ConvergenceReport,
     kernel_image_trace,
     kleene_feedback,
-    scalar_star,
     schur_feedback,
 )
 from .dqta import (

@@ -57,6 +57,7 @@ from .linalg import (
     dsum,
     identity,
     kron,
+    mp_inverse,
     op_distance,
     owned,
     random_isometry,
@@ -67,7 +68,6 @@ from .trace import (
     BlockMap,
     kernel_image_trace,
     kleene_feedback,
-    scalar_star,
     schur_feedback,
 )
 from .dqta import (
@@ -576,19 +576,22 @@ def _functor_feedback(cfg, rng, idx):
 
 # ------------------------------------------------------------- the star laws
 
+def _star(c) -> complex:
+    """c* = (1 - c)^+ by mp_inverse, a Python complex so `passed` is a JSON bool."""
+    return complex(mp_inverse(owned(np.full((1, 1), 1 - c, dtype=complex))).mat[0, 0])
+
+
 def conway_counterexample(cfg: CheckConfig = CheckConfig()) -> LawReport:
     """Probe the two star identities; they fail at a = b = 1 by design.
 
     Probes: (1, 1) violates both identities with gap exactly 1; (0, 0.7)
-    satisfies both; (0.5, 0.5) satisfies both under the case-split star.
+    and (0.5, 0.5) satisfy both.
     """
     probes = [(1.0, 1.0), (0.0, 0.7), (0.5, 0.5)]
     max_v, worst = 0.0, 0
     for i, (a, b) in enumerate(probes):
-        sum_gap = abs(scalar_star(a + b)
-                      - scalar_star(scalar_star(a) * b) * scalar_star(a))
-        prod_gap = abs(scalar_star(a * b)
-                       - (a * scalar_star(b * a) * b + 1.0))
+        sum_gap = abs(_star(a + b) - _star(_star(a) * b) * _star(a))
+        prod_gap = abs(_star(a * b) - (a * _star(b * a) * b + 1.0))
         v = max(sum_gap, prod_gap)
         if v > max_v:
             max_v, worst = v, i

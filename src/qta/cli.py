@@ -72,7 +72,7 @@ from .dqta import (
     make_unitary_dqta,
     turing_tensor,
 )
-from .intcat import Int0Morphism, Qta, as_int0, bidirectionalize, int_compose, name_of
+from .intcat import Int0Morphism, Qta, as_int0, bidirectionalize, int_compose
 from . import linalg
 from .linalg import (
     Operator,
@@ -338,12 +338,10 @@ def _checked_value(record: AutomatonFile):
     checks it: a qta's unitary or a dqta's isometry defect, with a unitary
     dqta as a UnitaryDqta.  No gram product is computed twice."""
     tau = record.tau
-    defect = isometry_defect(tau)
     if record.kind == "qta":
-        defect = check_defect(max(defect, isometry_defect(adjoint(tau))),
-                              "transition must be unitary")
+        defect = check_defect(unitary_defect(tau), "transition must be unitary")
         return Qta(record.h, record.k, tau), defect
-    check_defect(defect, "transition must be an isometry")
+    defect = check_defect(isometry_defect(tau), "transition must be an isometry")
     if (record.k == record.l
             and isometry_defect(adjoint(tau)) <= linalg.ISOMETRY_TOL):
         return UnitaryDqta(record.h, record.k, record.l, tau), defect
@@ -370,29 +368,42 @@ def _read_dqta(command, *paths):
 # by tracemalloc on dense Haar files of side 256 and 512, with 25% to spare.
 READ_BACK_BYTES_PER_ENTRY = 300
 
+# Peak bytes per segment column of closing a ring of a carried cell, 214.3
+# by tracemalloc at n = 6..8 on the 2-state 2-bit cell, with 25% to spare.
+RING_BYTES_PER_COLUMN = 270
+
+
+def _refuse(need, what, path):
+    """ValueError when what needs more than physical memory: need bytes,
+    None when past any memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need is None or need > memory:  # Decimal: need can be past a float
+        amount = "more than physical memory" if need is None else (
+            f"{Decimal(need) / 2 ** 30:.1f} GiB, more than the "
+            f"{memory / 2 ** 30:.1f} GiB of physical memory")
+        raise ValueError(f"{path}: refusing to write {what} needs {amount}")
+
 
 def _refuse_oversized(rows, cols, path):
     """ValueError when reading back a dense rows x cols transition would
     take more than physical memory, at READ_BACK_BYTES_PER_ENTRY."""
-    need = READ_BACK_BYTES_PER_ENTRY * rows * cols
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        # Decimal: an argument-sized need can be too large for a float
-        raise ValueError(
-            f"{path}: refusing to write a {rows}x{cols} transition: reading "
-            f"it back needs {Decimal(need) / 2 ** 30:.1f} GiB, more than the "
-            f"{memory / 2 ** 30:.1f} GiB of physical memory")
+    _refuse(READ_BACK_BYTES_PER_ENTRY * rows * cols,
+            f"a {rows}x{cols} transition: reading it back", path)
 
 
-def _refuse_oversized_side(factor, base, exp, path):
-    """_refuse_oversized for the square side factor * base ** exp; a side
+def _refuse_oversized_side(factor, base, exp, path, carried_ring=False):
+    """_refuse_oversized for the square side factor * base ** exp, or the
+    ring of a carried segment of that side at RING_BYTES_PER_COLUMN; a side
     past the int-to-str limit, so past any memory, is named, never built."""
     limit = sys.get_int_max_str_digits() or math.inf
     if exp * math.log10(base) <= limit and (side := factor * base ** exp) < 10 ** limit:
-        return _refuse_oversized(side, side, path)
-    name = f"({factor}*{base}**{exp})"
-    raise ValueError(f"{path}: refusing to write a {name}x{name} transition:"
-                     " reading it back needs more than physical memory")
+        need = side * (RING_BYTES_PER_COLUMN if carried_ring
+                       else READ_BACK_BYTES_PER_ENTRY * side)
+    else:
+        side, need = f"({factor}*{base}**{exp})", None
+    what = (f"the ring of a {side}x{side} segment: building it" if carried_ring
+            else f"a {side}x{side} transition: reading it back")
+    _refuse(need, what, path)
 
 
 def write_automaton(value, path, labels=None):
@@ -638,7 +649,7 @@ def _cmd_bidir(args):
         if not isinstance(value, UnitaryDqta):
             raise ValueError(f"{args.file}: the name route needs a unitary "
                              "square transition")
-        out = name_of(as_int0(value, src))
+        out = Qta(value.h, value.k, value.tau)
         labels = record.labels["input"] if record.labels else None
     else:
         if isinstance(value, UnitaryDqta):  # else bidirectionalize refuses it
@@ -684,8 +695,10 @@ def _cmd_chain(args):
     if src is None or 2 * src != record.k:
         raise ValueError(f"{args.file}: chain needs interfaces labeled as "
                          "matching (L,*) and (R,*) halves")
-    if args.n >= 1 and not args.ring:  # a ring's transition is 0x0
-        _refuse_oversized_side(value.k, value.h, args.n, args.output)
+    if args.n >= 1:
+        # a ring writes a 0x0 transition, but builds its whole segment first
+        _refuse_oversized_side(value.k, value.h, args.n, args.output,
+                               args.ring and value.tau.form is not None)
     out = chain_cells(value, args.n, mirror=args.mirror, ring=args.ring)
     if args.ring:
         labels = {"input": (), "output": ()}

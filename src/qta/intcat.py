@@ -185,8 +185,7 @@ def unname(q: Qta, src: int, dst: int) -> Int0Morphism:
     """Exact inverse of name_of for the given rank split."""
     if src < 0 or dst < 0 or src + dst != q.n:
         raise ShapeError(f"rank split {src} + {dst} != {q.n}")
-    tau = _reorder(q, [q.n], [0], [src, dst], [1, 0])
-    return Int0Morphism(src, dst, UnitaryDqta(q.h, q.n, q.n, tau))
+    return as_int0(UnitaryDqta(q.h, q.n, q.n, q.tau), src)
 
 
 def as_int0(t: Dqta, src: int) -> Int0Morphism:

@@ -36,13 +36,13 @@ The Moore-Penrose inverse is one such G, and so is the plain inverse
 when I - A is invertible, which is what lets ``linalg.mp_inverse``
 answer with an LU inverse there.  A fixed loop direction that is a basis
 vector leaves I - A an exactly zero row and column, which ``mp_inverse``
-deflates before the LU: the dense counterpart of ``path_feedback``
-dropping the loop columns no input reaches.
+deflates before the LU: the dense counterpart of the carried closed
+form dropping the loop columns no input reaches.
 
-On a monomial isometry (a partial injection with phases) the closed form
-is Girard's execution formula, ``path_feedback``: loop columns that no
-input reaches, among them every cycle and so ker(I - A), are dropped, and
-no rank decision is taken.
+On a monomial isometry (a partial injection with phases) ``closed_form``
+is Girard's execution formula: each input follows its path through the
+loop columns, so loop columns that no input reaches, among them every
+cycle and so ker(I - A), are dropped, and no rank decision is taken.
 """
 
 from __future__ import annotations
@@ -55,12 +55,10 @@ from .linalg import (
     Operator,
     ShapeError,
     check_defect,
-    gather,
     isometry_defect,
     monomial,
     mp_inverse,
     owned,
-    summand_index,
 )
 
 @dataclass(frozen=True)
@@ -104,34 +102,27 @@ def _blocks(mat, h, u, k, l):
 def closed_form(f: Operator, h: int, u: int) -> Operator:
     """Close f: H (x) (U (+) K) -> H (x) (U (+) L) over H (x) U, unchecked
     (the caller vouches that f is an isometry): D + B (I - A)^+ C on the
-    blocks of a dense f.  A carried f is gathered into the distributivity
-    layout (H (x) U) (+) (H (x) rest) and closed by path_feedback."""
+    blocks of a dense f.  On a carried f each input column walks through
+    the loop columns its rows feed, multiplying phases, until its row
+    leaves H (x) U: targets are distinct, so within h u steps."""
     k, l = f.cols // h - u, f.rows // h - u
     if f.form is not None:
-        rows, cols = (np.concatenate([summand_index(h, [u, n], [0]),
-                                      summand_index(h, [u, n], [1])])
-                      for n in (l, k))
-        return path_feedback(gather(f, rows, cols), h * u)
+        target, phase = f.form
+        state, pos = np.divmod(target, u + l)
+        feeds = np.where(pos < u, state * (u + k) + pos, -1)  # loop column, or -1
+        at = (np.arange(h)[:, None] * (u + k) + np.arange(u, u + k)).reshape(-1)
+        phases = phase[at]
+        walking = np.flatnonzero(feeds[at] >= 0)
+        for _ in range(h * u):
+            if walking.size == 0:
+                break
+            at[walking] = feeds[at[walking]]
+            phases[walking] = phase[at[walking]] * phases[walking]
+            walking = walking[feeds[at[walking]] >= 0]
+        return monomial(h * l, state[at] * l + pos[at] - u, phases)
     a, b, c, d = _blocks(f.mat, h, u, k, l)
     pinv = mp_inverse(owned(np.eye(h * u) - a))
     return owned(d + b @ pinv.mat @ c)
-
-
-def path_feedback(f: Operator, u: int) -> Operator:
-    """closed_form of a carried f: U (+) K -> U (+) L, carried.  Each
-    input column walks through loop columns, multiplying phases, until its
-    row leaves U; targets are distinct, so no path enters a cycle or meets
-    a loop column twice, and every path leaves within u steps."""
-    target, phase = f.form
-    rows, phases = target[u:].copy(), phase[u:].copy()
-    for _ in range(u):
-        inside = np.flatnonzero(rows < u)
-        if inside.size == 0:
-            break
-        loop = rows[inside]
-        phases[inside] = phase[loop] * phases[inside]
-        rows[inside] = target[loop]
-    return monomial(f.rows - u, rows - u, phases)
 
 
 def schur_feedback(m: BlockMap) -> Operator:
@@ -196,12 +187,3 @@ def kernel_image_trace(m: BlockMap):
     via_k = d + k_factor @ c
     via_i = d + b @ i_factor
     return owned((via_k + via_i) / 2.0), max(res_b, res_c)
-
-
-def scalar_star(c: complex) -> complex:
-    """Scalar feedback (1 - c)^+, the exact Moore-Penrose inverse of the
-    scalar 1 - c: 0 at c = 1, the reciprocal everywhere else."""
-    w = 1.0 - complex(c)
-    if w == 0:
-        return 0.0 + 0.0j
-    return 1.0 / w

@@ -1106,6 +1106,43 @@ def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("n", [16, 100_000])
+def test_oversized_ring_is_refused_before_its_segment_is_built(
+        tmp_path, capsys, n):
+    # a ring writes a 0x0 transition but closes a segment it builds first:
+    # side 4 * 4 ** 16 at RING_BYTES_PER_COLUMN needs 4.2 TiB; the refusal
+    # comes from the arguments
+    cell = str(tmp_path / "cell.json")
+    assert run_command(["cell", "--states", "2", "--bits", "2",
+                        "-o", cell]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "ring.json")
+    tracemalloc.start()
+    try:
+        code = run_command(["chain", cell, "--n", str(n), "--ring", "-o", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    side = "17179869184" if n == 16 else f"(4*4**{n})"
+    assert capsys.readouterr().err.startswith(
+        f"error: {out}: refusing to write the ring of a {side}x{side} "
+        "segment: building it needs")
+    assert not os.path.exists(out)
+    assert peak < 2 ** 20
+
+
+def test_ring_within_memory_is_still_written(tmp_path, capsys):
+    # side 4 * 4 ** 8 = 262144 at RING_BYTES_PER_COLUMN needs 68 MiB
+    cell = str(tmp_path / "cell.json")
+    assert run_command(["cell", "--states", "2", "--bits", "2",
+                        "-o", cell]) == 0
+    out = str(tmp_path / "ring.json")
+    assert run_command(["chain", cell, "--n", "8", "--ring", "-o", out]) == 0
+    assert parse_automaton(out).h == 4 ** 8
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("n", [100_000, 10_000_000])
 def test_argument_sized_segment_is_refused_without_building_its_side(
         tmp_path, capsys, n):
@@ -1158,6 +1195,7 @@ def test_segment_refusal_in_a_fresh_interpreter_stays_small(tmp_path, capsys):
     (["tensor", "cell_2s1b.json", "cell_2s1b.json"], "turing_tensor"),
     (["bidir", "cell_2s1b.json", "--route", "functor"], "bidirectionalize"),
     (["chain", "cell_2s1b.json", "--n", "2"], "chain_cells"),
+    (["chain", "cell_2s1b.json", "--n", "2", "--ring"], "chain_cells"),
 ])
 def test_oversized_result_is_refused_before_it_is_computed(
         tmp_path, capsys, monkeypatch, argv, builder):

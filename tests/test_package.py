@@ -25,7 +25,7 @@ PUBLIC = SUBMODULES | {
     "int_units", "isometry_defect", "kernel_image_trace", "kleene_feedback",
     "kron", "make_dqta", "make_qta", "make_unitary_dqta", "monomial",
     "mp_inverse", "name_of", "op_distance", "parse_automaton",
-    "random_isometry", "run_checks", "run_command", "scalar_star",
+    "random_isometry", "run_checks", "run_command",
     "schur_feedback", "serialize_reports", "simulate", "suite_passed",
     "sum_swap", "summand_index", "tensor_swap", "turing_tensor",
     "unit_automata", "unitary_defect", "unname", "witnessed_distance",

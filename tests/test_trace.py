@@ -1,9 +1,11 @@
 import importlib.util
+import json
 import os
 
 import numpy as np
 import pytest
 
+from qta import axioms
 from qta.linalg import (
     RANK_TOL,
     IsometryError,
@@ -12,12 +14,14 @@ from qta.linalg import (
     adjoint,
     dsum,
     identity,
+    gather,
     isometry_defect,
     monomial,
-    mp_inverse,
     op_distance,
+    owned,
     random_isometry,
     sum_swap,
+    summand_index,
     zeros,
 )
 from qta.trace import (
@@ -27,10 +31,9 @@ from qta.trace import (
     closed_form,
     kernel_image_trace,
     kleene_feedback,
-    path_feedback,
-    scalar_star,
     schur_feedback,
 )
+from test_axioms import injection, loop_walks
 
 SWAP = Operator([[0, 1], [1, 0]])
 ROTATION = Operator([[0, -1], [1, 0]])
@@ -376,35 +379,42 @@ def test_kit_reports_the_rank_cutoff_on_the_theta_family(theta):
         assert op_distance(out, schur_feedback(bm)) <= 1e-12
 
 
-# -------------------------------------------------------------- scalar_star
+# ------------------------------------------------------ the scalar star
+
+# c* = (1 - c)^+, the star of the Conway identities, taken from mp_inverse
 
 def test_scalar_star_values():
-    assert scalar_star(1.0) == 0.0
-    assert scalar_star(0.5) == pytest.approx(2.0)
-    assert scalar_star(0.0) == pytest.approx(1.0)
+    star = axioms._star
+    assert star(1.0) == 0.0
+    assert star(0.5) == pytest.approx(2.0)
+    assert star(0.0) == pytest.approx(1.0)
 
 
 def test_scalar_star_conway_identities():
+    star = axioms._star
     # product identity (ab)* = a (ba)* b + 1 holds away from the 1 case
     for a, b in [(0.5, 0.5), (0.2, -0.7), (0.3j, 0.4)]:
-        lhs = scalar_star(a * b)
-        rhs = a * scalar_star(b * a) * b + 1.0
+        lhs = star(a * b)
+        rhs = a * star(b * a) * b + 1.0
         assert abs(lhs - rhs) <= 1e-12
     # both identities collapse at a = b = 1 because 1* = 0
-    assert scalar_star(1 * 1) == 0.0
-    assert 1 * scalar_star(1 * 1) * 1 + 1 == 1.0
-    assert scalar_star(1.0 + 1.0) == pytest.approx(-1.0)
-    assert scalar_star(scalar_star(1.0) * 1.0) * scalar_star(1.0) == 0.0
+    assert star(1 * 1) == 0.0
+    assert 1 * star(1 * 1) * 1 + 1 == 1.0
+    assert star(1.0 + 1.0) == pytest.approx(-1.0)
+    assert star(star(1.0) * 1.0) * star(1.0) == 0.0
 
 
 def test_scalar_star_is_the_exact_pseudoinverse_of_a_scalar():
-    # a nonzero 1 - c keeps its reciprocal at any relative cutoff, as the
-    # pseudoinverse of the 1x1 matrix [1 - c] does
-    assert scalar_star(1 - 1e-13) == 1 / (1 - (1 - 1e-13))
-    assert scalar_star(1) == 0
-    for c in [0.5, -2.0, 1 - 1e-13, 1 + 1e-9, 0.3 + 0.4j, 1 - 1e-14j, 2j, 1.0]:
-        ref = mp_inverse(Operator([[1 - c]])).mat[0, 0]
-        assert abs(scalar_star(c) - ref) <= 1e-15 * abs(ref), c
+    # deflation sends the zero 1x1 matrix to exactly 0, and a nonzero
+    # 1 - c keeps its reciprocal at any relative cutoff; a Python complex,
+    # so a comparison gives a bool that json serializes
+    star = axioms._star
+    assert star(1) == 0 and type(star(1)) is complex
+    assert star(1 - 1e-13) == 1 / (1 - (1 - 1e-13))
+    for c in [0.5, -2.0, 1 - 1e-13, 1 + 1e-9, 0.3 + 0.4j, 1 - 1e-14j, 2j]:
+        ref = 1 / (1 - c)
+        assert abs(star(c) - ref) <= 1e-15 * abs(ref), c
+    assert json.dumps(star(0.5) == 2.0) == "true"
 
 
 # ----------------------------------------------------------- path following
@@ -442,12 +452,13 @@ FAMILY = [(u, k, l, cycle, closing, modulus)
 
 @pytest.mark.parametrize("seed", range(3))
 def test_path_feedback_equals_the_closed_form(seed):
+    # the carried closed form follows paths; the dense one inverts I - A:
     # loops of every length, cycles the SVD drops and cycles LU inverts,
     # u = 0 and u = everything, unit and non-unit phases
     rng = np.random.default_rng(seed)
     for u, k, l, cycle, closing, modulus in FAMILY:
         f = planted_monomial(rng, u, k, l, cycle, closing, modulus)
-        out = path_feedback(f, u)
+        out = closed_form(f, 1, u)
         mat = f.mat
         ref = closed_form(Operator(mat), 1, u)
         assert out.form is not None and out.shape == (l, k)
@@ -459,3 +470,44 @@ def test_path_feedback_equals_the_closed_form(seed):
             dense_out = schur_feedback(BlockMap(Operator(mat), u, k, l))
             assert carried_out.form is not None and dense_out.form is None
             assert op_distance(carried_out, dense_out) <= 1e-12
+
+
+def relabel_then_walk(f, h, u):
+    """The carried closed form by its earlier route: gather f into the
+    layout (H (x) U) (+) (H (x) rest), then walk each input column's path
+    through the first h u columns."""
+    rows, cols = (np.concatenate([summand_index(h, [u, n], [0]),
+                                  summand_index(h, [u, n], [1])])
+                  for n in (f.rows // h - u, f.cols // h - u))
+    target, phase = gather(f, rows, cols).form
+    n = h * u
+    out, phases = target[n:].copy(), phase[n:].copy()
+    for _ in range(n):
+        inside = np.flatnonzero(out < n)
+        if inside.size == 0:
+            break
+        loop = out[inside]
+        phases[inside] = phase[loop] * phases[inside]
+        out[inside] = target[loop]
+    return monomial(f.rows - n, out - n, phases)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_carried_closed_form_walks_paths_on_its_own_indices(h):
+    # bit for bit the relabel-then-walk route, and within rounding the
+    # dense closed form of the form-stripped twin
+    rng = np.random.default_rng(h)
+    cycles = multi_step = 0
+    for i in range(300):
+        u, k = int(rng.integers(0, 5)), int(rng.integers(0, 4))
+        l = k + int(rng.integers(0, 3))
+        f = injection(rng, h * (u + l), h * (u + k), i % 2 == 0)
+        cycle, steps = loop_walks(f, h, u)
+        cycles, multi_step = cycles + cycle, multi_step + (steps >= 2)
+        out, ref = closed_form(f, h, u), relabel_then_walk(f, h, u)
+        assert out.shape == ref.shape == (h * l, h * k)
+        assert np.array_equal(out.form[0], ref.form[0])
+        assert out.form[1].tobytes() == ref.form[1].tobytes()
+        twin = closed_form(owned(np.array(f.mat)), h, u)
+        assert op_distance(out, twin) <= 1e-12, (h, u, k, l)
+    assert cycles >= 30 and multi_step >= 30
