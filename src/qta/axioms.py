@@ -1,19 +1,20 @@
 """Seeded numerical law checks for the feedback trace and everything on top.
 
-Laws come in groups selected by CheckConfig.law_set:
+Laws come in groups selected by CheckConfig.law_set; LAW_GROUPS derives
+them from LAWS, in its order, with the unsampled counterexample last:
 
   trace-axioms          naturality, sliding, vanishing (and a forced-kernel
                         variant), superposing, yanking, for operators under
                         schur_feedback and for automata under feedback_dqta.
-  dagger                feedback commutes with the dagger, in both.
-  kit-equivalence       factorization trace equals the closed form, with
-                        no factorization residual; planted kernels too.
   kleene-equivalence    partial sums run to machine precision equal the
                         closed form when the loop spectral radius stays
                         below 1 - 1e-3 (instances are resampled into
                         that region, or close a zero loop block).
+  kit-equivalence       factorization trace equals the closed form, with
+                        no factorization residual; planted kernels too.
   tensor-compat         closing a loop commutes with tensoring a
                         spectator space.
+  dagger                feedback commutes with the dagger, in both.
   int0-laws             category laws, triangle identities, symmetry
                         and unit coherences, dagger laws, yanking for
                         the canonical trace.
@@ -92,63 +93,8 @@ from .intcat import (
     int_units,
 )
 
-LAW_GROUPS = (
-    "trace-axioms",
-    "dagger",
-    "kit-equivalence",
-    "kleene-equivalence",
-    "tensor-compat",
-    "int0-laws",
-    "functor-F",
-    "conway-counterexample",
-)
-
 # report ids that must fail for the suite to count as passing
 EXPECTED_FAIL = frozenset({"conway-star-identities"})
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    seed: int = 0
-    instances: int = 200
-    max_dim: int = 6
-    tolerance: float = 1e-8
-    law_set: tuple = LAW_GROUPS
-
-    def __post_init__(self):
-        if self.instances < 0:
-            raise ValueError(f"instances must be nonnegative, got {self.instances}")
-        if self.max_dim < 2:
-            raise ValueError(f"max_dim must be at least 2, got {self.max_dim}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        unknown = set(self.law_set) - set(LAW_GROUPS)
-        if unknown:
-            raise ValueError(f"unknown law groups: {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
-class LawReport:
-    law: str
-    instances_run: int
-    max_violation: float
-    passed: bool
-    worst_seed: int
-
-
-def instance_seed(seed: int, index: int) -> int:
-    """Generator seed of one instance; stable under parallel evaluation."""
-    root = np.random.SeedSequence([seed % (2 ** 63), index])
-    return int(root.generate_state(1)[0])
-
-
-def _run_law(law, cfg, eval_one, seeds):
-    max_v, worst_seed = 0.0, cfg.seed
-    for i, s in enumerate(seeds):
-        v = float(eval_one(cfg, np.random.default_rng(s), i))
-        if not (v <= max_v or math.isnan(max_v)):  # the first NaN is worst
-            max_v, worst_seed = v, s
-    return LawReport(law, cfg.instances, max_v, max_v <= cfg.tolerance, worst_seed)
 
 
 # ----------------------------------------------- the trace axioms, once
@@ -574,31 +520,6 @@ def _functor_feedback(cfg, rng, idx):
     return _pair_distance(lhs, rhs)
 
 
-# ------------------------------------------------------------- the star laws
-
-def _star(c) -> complex:
-    """c* = (1 - c)^+ by mp_inverse, a Python complex so `passed` is a JSON bool."""
-    return complex(mp_inverse(owned(np.full((1, 1), 1 - c, dtype=complex))).mat[0, 0])
-
-
-def conway_counterexample(cfg: CheckConfig = CheckConfig()) -> LawReport:
-    """Probe the two star identities; they fail at a = b = 1 by design.
-
-    Probes: (1, 1) violates both identities with gap exactly 1; (0, 0.7)
-    and (0.5, 0.5) satisfy both.
-    """
-    probes = [(1.0, 1.0), (0.0, 0.7), (0.5, 0.5)]
-    max_v, worst = 0.0, 0
-    for i, (a, b) in enumerate(probes):
-        sum_gap = abs(_star(a + b) - _star(_star(a) * b) * _star(a))
-        prod_gap = abs(_star(a * b) - (a * _star(b * a) * b + 1.0))
-        v = max(sum_gap, prod_gap)
-        if v > max_v:
-            max_v, worst = v, i
-    return LawReport("conway-star-identities", len(probes), float(max_v),
-                     max_v <= cfg.tolerance, worst)
-
-
 # ------------------------------------------------------------ orchestration
 
 # the one list of laws: (group, report name, evaluator) in report order;
@@ -639,6 +560,74 @@ LAWS = (
     ("functor-F", "functor-preserves-dagger", _functor_dagger),
     ("functor-F", "functor-preserves-feedback", _functor_feedback),
 )
+
+
+# every group in LAWS order; conway-counterexample is not sampled
+LAW_GROUPS = (*dict.fromkeys(group for group, _, _ in LAWS), "conway-counterexample")
+
+
+@dataclass(frozen=True)
+class CheckConfig:
+    seed: int = 0
+    instances: int = 200
+    max_dim: int = 6
+    tolerance: float = 1e-8
+    law_set: tuple = LAW_GROUPS
+
+    def __post_init__(self):
+        if self.instances < 0:
+            raise ValueError(f"instances must be nonnegative, got {self.instances}")
+        if self.max_dim < 2:
+            raise ValueError(f"max_dim must be at least 2, got {self.max_dim}")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        unknown = set(self.law_set) - set(LAW_GROUPS)
+        if unknown:
+            raise ValueError(f"unknown law groups: {sorted(unknown)}")
+
+
+@dataclass(frozen=True)
+class LawReport:
+    law: str
+    instances_run: int
+    max_violation: float
+    passed: bool
+    worst_seed: int
+
+
+def instance_seed(seed: int, index: int) -> int:
+    """Generator seed of one instance; stable under parallel evaluation."""
+    root = np.random.SeedSequence([seed % (2 ** 63), index])
+    return int(root.generate_state(1)[0])
+
+
+def _run_law(law, cfg, eval_one, seeds):
+    max_v, worst_seed = 0.0, cfg.seed
+    for i, s in enumerate(seeds):
+        v = float(eval_one(cfg, np.random.default_rng(s), i))
+        if not (v <= max_v or math.isnan(max_v)):  # the first NaN is worst
+            max_v, worst_seed = v, s
+    return LawReport(law, len(seeds), max_v, max_v <= cfg.tolerance, worst_seed)
+
+
+# ------------------------------------------------------------- the star laws
+
+def _star(c) -> complex:
+    """c* = (1 - c)^+ by mp_inverse, a Python complex so `passed` is a JSON bool."""
+    return complex(mp_inverse(owned(np.full((1, 1), 1 - c, dtype=complex))).mat[0, 0])
+
+
+def conway_counterexample(cfg: CheckConfig = CheckConfig()) -> LawReport:
+    """Probe the two star identities; they fail at a = b = 1 by design.
+
+    Probes: (1, 1) violates both identities with gap exactly 1; (0, 0.7)
+    and (0.5, 0.5) satisfy both.  The worst probe's index is its worst_seed.
+    """
+    def gap(cfg, rng, idx):
+        a, b = [(1.0, 1.0), (0.0, 0.7), (0.5, 0.5)][idx]
+        return max(abs(_star(a + b) - _star(_star(a) * b) * _star(a)),
+                   abs(_star(a * b) - (a * _star(b * a) * b + 1.0)))
+    return _run_law("conway-star-identities", cfg, gap, range(3))
 
 
 def run_checks(cfg: CheckConfig):

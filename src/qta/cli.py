@@ -485,8 +485,6 @@ def build_cell(states, alphabet_bits, rule=None) -> UnitaryDqta:
         tau = kron(identity(h), sum_swap(states, states))
     elif isinstance(rule, Operator):
         tau = rule
-    elif isinstance(rule, np.ndarray):
-        tau = Operator(rule)
     else:
         tau = _rule_permutation(states, h, rule)
     return make_unitary_dqta(h, width, tau)
@@ -498,7 +496,8 @@ def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
     The cell is an Int morphism from its left boundary to its right one:
     as_int0 reads its outputs [right, left] as [forward, return], which
     under mirror its outputs [left, right] already are.  A ring closes
-    both boundary loops of the n-fold composite.
+    both boundary loops of the n-fold composite.  A plain Dqta cell is
+    checked as a unitary first.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -506,7 +505,8 @@ def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
         raise ValueError("cell interfaces must split into left and right "
                          f"halves, got k={cell.k}, l={cell.l}")
     s = cell.k // 2
-    cell = UnitaryDqta(cell.h, cell.k, cell.l, cell.tau)
+    if not isinstance(cell, UnitaryDqta):
+        cell = make_unitary_dqta(cell.h, cell.k, cell.tau)
     step = Int0Morphism(s, s, cell) if mirror else as_int0(cell, s)
     seg = functools.reduce(int_compose, [step] * n)
     if ring:

@@ -27,12 +27,12 @@ anywhere.
 
 Validation policy: an operator is checked where it enters or leaves the
 library, always by the one gate linalg.check_defect -- in make_dqta,
-make_unitary_dqta and intcat.make_qta, in dagger_dqta when handed a plain
-Dqta, in the three trace entry points, on file load and before a file is
-written.  Feedback sends isometries to isometries and every other
-operation only routes or multiplies them, so operations here and in
-intcat build their results unchecked (linalg.owned), returning a
-UnitaryDqta when every operand is one.
+make_unitary_dqta and intcat.make_qta, in dagger_dqta, intcat.as_int0 and
+cli.chain_cells when handed a plain Dqta, in the three trace entry points,
+on file load and before a file is written.  Feedback sends isometries to
+isometries and every other operation only routes or multiplies them, so
+operations here and in intcat build their results unchecked
+(linalg.owned), returning a UnitaryDqta when every operand is one.
 """
 
 from dataclasses import dataclass

@@ -39,6 +39,7 @@ from .dqta import (
     UnitaryDqta,
     dagger_dqta,
     feedback_dqta,
+    make_unitary_dqta,
     turing_tensor,
 )
 
@@ -190,11 +191,14 @@ def unname(q: Qta, src: int, dst: int) -> Int0Morphism:
 
 def as_int0(t: Dqta, src: int) -> Int0Morphism:
     """View a square automaton with [forward, backward] interface layout
-    on both sides as a morphism from rank src to rank k - src."""
+    on both sides as a morphism from rank src to rank k - src; a plain
+    Dqta is checked as a unitary first."""
     if t.k != t.l:
         raise ShapeError(f"need a square automaton, got {t.k} -> {t.l}")
     if src < 0 or src > t.k:
         raise ShapeError(f"forward rank {src} exceeds interface {t.k}")
+    if not isinstance(t, UnitaryDqta):
+        t = make_unitary_dqta(t.h, t.k, t.tau)
     dst = t.k - src
     tau = _reorder(t, [t.k], [0], [src, dst], [1, 0])
     return Int0Morphism(src, dst, UnitaryDqta(t.h, t.k, t.k, tau))

@@ -616,6 +616,12 @@ def test_explicit_matrix_rule():
     assert op_distance(cell.tau, tau) == 0.0
 
 
+def test_an_array_rule_is_read_as_a_rule_table():
+    # a matrix rule is an Operator, which is what the --rule loader builds
+    with pytest.raises(ValueError, match=r"must be a \[source, target\] pair"):
+        build_cell(1, 1, np.eye(4))
+
+
 # ------------------------------------------------------------------- chains
 
 def test_chain_of_one_is_the_cell():
@@ -660,6 +666,56 @@ def test_ring_closes_every_interface():
     cell = build_cell(2, 1)
     ring = chain_cells(cell, 2, ring=True)
     assert (ring.h, ring.k, ring.l) == (4, 0, 0)
+
+
+def hadamard_edge_cell():
+    """(I + 1e-9 e1 e1^dagger)(H (x) H), H the normalised Hadamard, as a
+    plain dqta with h = 2, k = l = 2: its isometry defect 5e-10 is within
+    the gate, its unitary defect 2e-9 is not."""
+    mat = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]) / 2
+    mat[0] *= 1 + 1e-9
+    return make_dqta(2, 2, 2, Operator(mat))
+
+
+def write_edge_cell(tmp_path):
+    path = str(tmp_path / "edge.json")
+    labels = ["(L,1)", "(R,1)"]
+    write_automaton(hadamard_edge_cell(), path, {"input": labels, "output": labels})
+    return path
+
+
+@pytest.mark.parametrize("wiring", [[], ["--mirror"], ["--ring"]])
+def test_chain_refuses_a_cell_that_is_only_an_isometry(
+        tmp_path, capsys, monkeypatch, wiring):
+    cell = hadamard_edge_cell()
+    assert isometry_defect(cell.tau) <= linalg.ISOMETRY_TOL < unitary_defect(cell.tau)
+    path, out = write_edge_cell(tmp_path), str(tmp_path / "seg.json")
+
+    def never(*args):
+        raise AssertionError("int_compose ran on a cell that is not unitary")
+
+    monkeypatch.setattr(cli, "int_compose", never)
+    assert run_command(["chain", path, "--n", "2", *wiring, "-o", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: transition must be unitary (defect 2.0")
+    assert not os.path.exists(out)
+
+
+def test_edge_cell_is_a_valid_dqta_that_bidir_refuses(tmp_path, capsys):
+    path, out = write_edge_cell(tmp_path), str(tmp_path / "bidir.json")
+    assert run_command(["validate", path]) == 0
+    assert "dqta h=2 k=2 l=2" in capsys.readouterr().out
+    for route in ("auto", "name", "functor"):
+        assert run_command(["bidir", path, "--route", route, "-o", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+
+def test_as_int0_checks_a_plain_dqta_as_a_unitary():
+    with pytest.raises(IsometryError, match="transition must be unitary"):
+        as_int0(hadamard_edge_cell(), 1)
+    t = make_dqta(1, 2, 2, sum_swap(1, 1))  # plain, but unitary
+    assert as_int0(t, 1).carrier.tau.mat.tolist() == [[1, 0], [0, 1]]
 
 
 def gather_chain(cell, n, mirror=False, ring=False):

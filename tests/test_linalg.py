@@ -97,7 +97,7 @@ def test_user_input_is_copied_and_left_writable():
     arr = random_isometry(8, 8, 3).mat.copy()
     before = arr.copy()
     op = Operator(arr)
-    cell = build_cell(2, 1, rule=arr)
+    cell = build_cell(2, 1, rule=op)
     assert arr.flags.writeable and np.array_equal(arr, before)
     assert not np.shares_memory(op.mat, arr)
     assert not np.shares_memory(cell.tau.mat, arr)
