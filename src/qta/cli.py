@@ -410,20 +410,20 @@ def write_automaton(value, path, labels=None):
     """Write one automaton file after the loader's own label and transition
     checks, so that every file written can be read back; a transition whose
     dense array exceeds physical memory is refused before any text."""
-    if isinstance(value, Qta):
-        kind, k, l, defect = "qta", value.n, value.n, unitary_defect(value.tau)
-    elif isinstance(value, Dqta):
-        kind, k, l, defect = "dqta", value.k, value.l, isometry_defect(value.tau)
-    else:
+    if not isinstance(value, Dqta):
         raise ValueError(f"cannot serialize {type(value).__name__}")
-    labels = _check_labels({"labels": labels}, kind, k, l, path)
+    if isinstance(value, Qta):
+        kind, defect = "qta", unitary_defect(value.tau)
+    else:
+        kind, defect = "dqta", isometry_defect(value.tau)
+    labels = _check_labels({"labels": labels}, kind, value.k, value.l, path)
     check_defect(defect, f"{path}: refusing to write a transition the "
                  "loader would reject")
     _refuse_oversized(value.tau.rows, value.tau.cols, path)
     # a dense matrix's text is built before the file is opened
     matrix = _matrix_text(value.tau)
     with open(path, "w") as fh:
-        fh.write(_head_text(kind, value.h, k, l))
+        fh.write(_head_text(kind, value.h, value.k, value.l))
         fh.writelines(matrix)
         fh.write(_tail_text(labels))
 
@@ -522,15 +522,12 @@ def simulate(q, initial, steps) -> SimulationTrace:
     initial is either a full state vector of length h*n or a pair
     (interface index, state-factor basis index).
     """
-    if isinstance(q, Qta):
-        h, n, tau = q.h, q.n, q.tau
-    elif isinstance(q, Dqta):
-        if q.k != q.l:
-            raise ValueError("simulation needs a square transition, "
-                             f"got k={q.k}, l={q.l}")
-        h, n, tau = q.h, q.k, q.tau
-    else:
+    if not isinstance(q, Dqta):
         raise ValueError(f"cannot simulate {type(q).__name__}")
+    if q.k != q.l:
+        raise ValueError("simulation needs a square transition, "
+                         f"got k={q.k}, l={q.l}")
+    h, n, tau = q.h, q.k, q.tau
     if n == 0:
         raise ValueError("automaton has no interface to carry the control")
     if steps < 0:

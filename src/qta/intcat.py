@@ -8,11 +8,14 @@ eliminates it with feedback; the dagger just renames interfaces, so it
 is involutive on the nose.  Objects are self-dual, with unit and counit
 both carried by the interface swap.
 
-name_of flattens a morphism into an undirected automaton (Qta) on the
-combined rank K (+) L, and unname inverts it exactly; as_int0 views any
-square automaton whose interfaces split as [forward, backward] on both
-sides as a morphism.  bidirectionalize sends a directed automaton t to
-the name of the forward/backward pair t (+) dagger(t).
+A Qta, the undirected automaton, is the UnitaryDqta (h, n, n, tau) read
+undirected: one interface N of rank n = k = l, with no input or output
+side of its own, so every dqta operation takes it as its directed reading.
+name_of flattens a morphism into a Qta on the combined rank K (+) L, and
+unname inverts it exactly; as_int0 views any square automaton whose
+interfaces split as [forward, backward] on both sides as a morphism.
+bidirectionalize sends a directed automaton t to the name of the
+forward/backward pair t (+) dagger(t).
 
 Every operation reduces to dqta-module algebra plus routing by index
 maps: summands are relabelled by gathering the carrier's rows and columns
@@ -44,21 +47,16 @@ from .dqta import (
 )
 
 
-@dataclass(frozen=True)
-class Qta:
-    """Undirected automaton: unitary transition on H (x) N."""
+class Qta(UnitaryDqta):
+    """Undirected automaton: the UnitaryDqta (h, n, n, tau) read
+    undirected, a unitary transition on H (x) N with n = k = l."""
 
-    h: int
-    n: int
-    tau: Operator
+    def __init__(self, h: int, n: int, tau: Operator):
+        UnitaryDqta.__init__(self, h, n, n, tau)
 
-    def __post_init__(self):
-        if self.h <= 0 or self.n < 0:
-            raise ShapeError(f"bad dims h={self.h}, n={self.n}")
-        if self.tau.rows != self.h * self.n or self.tau.cols != self.h * self.n:
-            raise ShapeError(
-                f"transition is {self.tau.rows}x{self.tau.cols}, expected "
-                f"square of size {self.h * self.n}")
+    @property
+    def n(self) -> int:
+        return self.k
 
 
 def make_qta(h: int, n: int, tau: Operator) -> Qta:
@@ -186,7 +184,7 @@ def unname(q: Qta, src: int, dst: int) -> Int0Morphism:
     """Exact inverse of name_of for the given rank split."""
     if src < 0 or dst < 0 or src + dst != q.n:
         raise ShapeError(f"rank split {src} + {dst} != {q.n}")
-    return as_int0(UnitaryDqta(q.h, q.n, q.n, q.tau), src)
+    return as_int0(q, src)
 
 
 def as_int0(t: Dqta, src: int) -> Int0Morphism:

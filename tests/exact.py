@@ -18,7 +18,15 @@ Exact isometries:
   sin = 2t / (1 + t^2), by the angle 2 atan(t);
 - theta_map(t): the theta family, whose exact feedback is -I for every t;
 - planted_kernel(r, w, u2, k, l): identity(r) (+) w with its loop turned
-  by a rotation, so that ker(I - A) is exact but on no basis vector.
+  by a rotation, so that ker(I - A) is exact but on no basis vector;
+- phased(f, rows, cols): diag(rows) f diag(cols) for Gaussian-rational
+  unit phases (unit_phase), a complex isometry given as (re, im).
+
+A complex matrix is solved through its realification (realify), with the
+real 2x2 block [[x, -y], [y, x]] in place of each entry x + iy.  That
+keeps products, adjoints (as transposes) and so the Penrose equations,
+and leading rows and columns stay leading: the realified feedback over
+2u is the realification of the complex feedback over u (derealify).
 
 The library is handed the float rounding of a rational isometry, while
 the oracle answers for the rational one.  Their difference is that input
@@ -168,6 +176,39 @@ def planted_kernel(r, w, u2, k, l):
     (c, ms), (s, _) = rotation(Fraction(1, 2))
     turn[0][0], turn[0][r], turn[r][0], turn[r][r] = c, ms, s, c
     return conjugate_loop(f, turn, u, k, l)
+
+
+def unit_phase(rng, spread=4):
+    """A seeded Gaussian-rational unit (a + bi) / c as (cos, sin) of
+    rotation(t), t = m/n with |m|, n <= spread: the Pythagorean triple
+    (n^2 - m^2, 2mn, n^2 + m^2)."""
+    (cos, _), (sin, _) = rotation(Fraction(rng.randint(-spread, spread),
+                                           rng.randint(1, spread)))
+    return cos, sin
+
+
+def phased(f, rows, cols):
+    """(re, im) of diag(rows) f diag(cols) for a real f and (cos, sin)
+    phases rows and cols."""
+    re = [[x * (pc * qc - ps * qs) for x, (qc, qs) in zip(row, cols)]
+          for row, (pc, ps) in zip(f, rows)]
+    im = [[x * (pc * qs + ps * qc) for x, (qc, qs) in zip(row, cols)]
+          for row, (pc, ps) in zip(f, rows)]
+    return re, im
+
+
+def realify(re, im):
+    """The real matrix with [[x, -y], [y, x]] in place of each x + iy."""
+    out = []
+    for rr, ir in zip(re, im):
+        out.append([v for x, y in zip(rr, ir) for v in (x, -y)])
+        out.append([v for x, y in zip(rr, ir) for v in (y, x)])
+    return out
+
+
+def derealify(r):
+    """(re, im) of a realified matrix, read from its blocks' first columns."""
+    return [row[::2] for row in r[::2]], [row[::2] for row in r[1::2]]
 
 
 def to_float(a):

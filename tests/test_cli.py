@@ -828,6 +828,14 @@ def test_simulation_of_a_carried_form_equals_the_dense_product(phased):
             assert out == ref
 
 
+def test_simulation_of_a_qta_is_that_of_its_unitary_dqta():
+    for q in (parse_automaton(os.path.join(DATA_DIR, "cell_2s1b_bidir.json")),
+              make_qta(2, 3, random_isometry(6, 6, 24))):
+        assert isinstance(q, Qta)
+        want = simulate(UnitaryDqta(q.h, q.n, q.n, q.tau), (1, 0), 50)
+        assert simulate(q, (1, 0), 50) == want
+
+
 def test_simulation_rejects_rectangular_automata():
     with pytest.raises(ValueError, match="square"):
         simulate(rand_dqta(1, 2, 3, 0), (0, 0), 1)
@@ -938,6 +946,21 @@ def test_command_errors_exit_1_with_their_message(tmp_path, capsys, text,
     assert run_command([fill(a) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {fill(message)}\n"
     assert not os.path.exists(tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "{q}", "{q}"],
+    ["tensor", "{q}", "{q}"],
+    ["feedback", "{q}", "--u", "1"],
+    ["bidir", "{q}"],
+    ["chain", "{q}", "--n", "2"],
+])
+def test_directed_commands_refuse_a_qta_record(tmp_path, capsys, argv):
+    q = os.path.join(DATA_DIR, "cell_2s1b_bidir.json")
+    out = tmp_path / "out.json"
+    assert run_command([a.format(q=q) for a in argv] + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {q}: {argv[0]} works on dqta records\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("value, initial, message", [

@@ -15,11 +15,13 @@ from qta.linalg import (
     unitary_defect,
 )
 from qta.dqta import (
+    UnitaryDqta,
     cascade,
     dagger_dqta,
     feedback_dqta,
     make_dqta,
     make_unitary_dqta,
+    turing_tensor,
     unit_automata,
     witnessed_distance,
 )
@@ -40,6 +42,8 @@ from qta.intcat import (
     name_of,
     unname,
 )
+
+from test_linalg import random_monomial
 
 TOL = 1e-8
 
@@ -64,6 +68,10 @@ def same_morphism(f, g, tol=TOL):
 def test_qta_validation():
     q = make_qta(1, 2, sum_swap(1, 1))
     assert (q.h, q.n) == (1, 2)
+    # the UnitaryDqta (h, n, n, tau) read undirected
+    assert isinstance(q, UnitaryDqta)
+    assert q.n == q.k == q.l
+    assert repr(q).startswith("Qta(h=1, k=2, l=2, tau=")
     with pytest.raises(IsometryError):
         make_qta(1, 2, Operator([[1, 0], [1, 1]]))
     with pytest.raises(ShapeError):
@@ -79,8 +87,13 @@ def test_morphism_validation():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Qta(0, 1, identity(0)), "bad dims h=0, n=1"),
-    (lambda: Qta(1, -1, identity(0)), "bad dims h=1, n=-1"),
+    # a Qta is checked as the UnitaryDqta (h, n, n, tau)
+    pytest.param(lambda: Qta(0, 1, identity(0)),
+                 "state dim must be positive and interfaces nonnegative, "
+                 "got h=0, k=1, l=1", id="Qta(0, 1)"),
+    pytest.param(lambda: Qta(1, -1, identity(0)),
+                 "state dim must be positive and interfaces nonnegative, "
+                 "got h=1, k=-1, l=-1", id="Qta(1, -1)"),
     (lambda: Int0Morphism(-1, 2, rand_unitary(1, 1, seed=0)),
      "bad ranks -1, 2"),
     (lambda: as_int0(make_dqta(1, 1, 2, random_isometry(2, 1, 0)), 0),
@@ -236,6 +249,35 @@ def test_unname_inverts_name():
     assert same_morphism(back, f, tol=0.0)
     with pytest.raises(ShapeError):
         unname(name_of(f), 2, 2)
+
+
+def test_dqta_operations_take_a_qta_as_its_directed_reading():
+    q = make_qta(2, 3, random_isometry(6, 6, 21))
+    t = UnitaryDqta(q.h, q.n, q.n, q.tau)
+    for op in (lambda x: cascade(x, x), lambda x: turing_tensor(x, x),
+               lambda x: feedback_dqta(x, 1), dagger_dqta):
+        got, want = op(q), op(t)
+        assert type(got) is UnitaryDqta
+        assert (got.h, got.k, got.l) == (want.h, want.k, want.l)
+        assert np.array_equal(got.tau.mat, want.tau.mat)
+
+
+@pytest.mark.parametrize("q", [
+    Qta(2, 3, random_monomial(np.random.default_rng(22), 6, 6)),
+    name_of(int_identity(2)),
+    make_qta(2, 3, random_isometry(6, 6, 23)),
+], ids=["carried", "identity name", "haar"])
+def test_unname_gives_the_rewrapped_carrier_bit_for_bit(q):
+    # unname of q is as_int0 of its transition rewrapped as a plain UnitaryDqta
+    for src in range(q.n + 1):
+        got = unname(q, src, q.n - src).carrier.tau
+        want = as_int0(UnitaryDqta(q.h, q.n, q.n, q.tau), src).carrier.tau
+        assert (got.form is None) == (want.form is None)
+        if want.form is None:
+            assert got.mat.tobytes() == want.mat.tobytes()
+        else:
+            assert got.form[0].tobytes() == want.form[0].tobytes()
+            assert got.form[1].tobytes() == want.form[1].tobytes()
 
 
 def test_as_int0_then_name_returns_machine():
