@@ -376,20 +376,16 @@ def _dagger_automata(cfg, rng, idx):
 
 def _rand_int0(rng, k, l, h):
     n = h * (k + l)
-    return Int0Morphism(k, l, make_unitary_dqta(h, k + l,
-                                                random_isometry(n, n, rng)))
-
-
-def _pair_distance(f, g):
-    return op_distance(f.carrier.tau, g.carrier.tau)
+    t = make_unitary_dqta(h, k + l, random_isometry(n, n, rng))
+    return Int0Morphism(h, k, l, t.tau)
 
 
 def _int0_units(cfg, rng, idx):
     k = 0 if idx == 0 else int(rng.integers(1, 3))
     l = 0 if idx == 0 else int(rng.integers(1, 3))
     f = _rand_int0(rng, k, l, int(rng.integers(1, 3)))
-    return max(_pair_distance(int_compose(f, int_identity(l)), f),
-               _pair_distance(int_compose(int_identity(k), f), f))
+    return max(_AUTOMATA.dist(int_compose(f, int_identity(l)), f),
+               _AUTOMATA.dist(int_compose(int_identity(k), f), f))
 
 
 def _int0_assoc(cfg, rng, idx):
@@ -399,7 +395,7 @@ def _int0_assoc(cfg, rng, idx):
     h = _rand_int0(rng, dims[2], dims[3], int(rng.integers(1, 3)))
     lhs = int_compose(int_compose(f, g), h)
     rhs = int_compose(f, int_compose(g, h))
-    return _pair_distance(lhs, rhs)
+    return _AUTOMATA.dist(lhs, rhs)
 
 
 def _int0_triangles(cfg, rng, idx):
@@ -408,7 +404,7 @@ def _int0_triangles(cfg, rng, idx):
     ia = int_identity(a)
     t1 = int_compose(int_tensor(d, ia), int_tensor(ia, e))
     t2 = int_compose(int_tensor(ia, d), int_tensor(e, ia))
-    return max(_pair_distance(t1, ia), _pair_distance(t2, ia))
+    return max(_AUTOMATA.dist(t1, ia), _AUTOMATA.dist(t2, ia))
 
 
 def _int0_symmetry(cfg, rng, idx):
@@ -416,11 +412,11 @@ def _int0_symmetry(cfg, rng, idx):
     b = int(rng.integers(1, 3))
     d, e = int_units(a)
     c = int_symmetry(a, a)
-    v = max(_pair_distance(int_compose(d, c), d),
-            _pair_distance(int_compose(c, e), e),
-            _pair_distance(int_dagger(int_symmetry(a, b)),
+    v = max(_AUTOMATA.dist(int_compose(d, c), d),
+            _AUTOMATA.dist(int_compose(c, e), e),
+            _AUTOMATA.dist(int_dagger(int_symmetry(a, b)),
                            int_symmetry(b, a)),
-            _pair_distance(int_compose(int_symmetry(a, b),
+            _AUTOMATA.dist(int_compose(int_symmetry(a, b),
                                        int_symmetry(b, a)),
                            int_identity(a + b)))
     return v
@@ -434,20 +430,20 @@ def _int0_compound_unit(cfg, rng, idx):
     d_ab, _ = int_units(ra + rb)
     mid = int_tensor(int_tensor(int_identity(ra), int_symmetry(ra, rb)),
                      int_identity(rb))
-    return _pair_distance(int_compose(int_tensor(d_a, d_b), mid), d_ab)
+    return _AUTOMATA.dist(int_compose(int_tensor(d_a, d_b), mid), d_ab)
 
 
 def _int0_dual_units(cfg, rng, idx):
     a = 0 if idx == 0 else int(rng.integers(1, min(3, cfg.max_dim) + 1))
     d, e = int_units(a)
-    return max(_pair_distance(int_dagger(e), d),
-               _pair_distance(int_dagger(d), e))
+    return max(_AUTOMATA.dist(int_dagger(e), d),
+               _AUTOMATA.dist(int_dagger(d), e))
 
 
 def _int0_dagger_involution(cfg, rng, idx):
     f = _rand_int0(rng, int(rng.integers(0, 3)), int(rng.integers(0, 3)),
                    int(rng.integers(1, 3)))
-    return _pair_distance(int_dagger(int_dagger(f)), f)
+    return _AUTOMATA.dist(int_dagger(int_dagger(f)), f)
 
 
 def _int0_dagger_contra(cfg, rng, idx):
@@ -458,8 +454,7 @@ def _int0_dagger_contra(cfg, rng, idx):
     g = _rand_int0(rng, l, m, hg)
     lhs = int_dagger(int_compose(f, g))
     rhs = int_compose(int_dagger(g), int_dagger(f))
-    return witnessed_distance(lhs.carrier, rhs.carrier,
-                              tensor_swap(hf, hg))
+    return witnessed_distance(lhs, rhs, tensor_swap(hf, hg))
 
 
 def _int0_bifunctorial(cfg, rng, idx):
@@ -474,18 +469,18 @@ def _int0_bifunctorial(cfg, rng, idx):
     rhs = int_tensor(int_compose(f, g), int_compose(f2, g2))
     sigma = kron(kron(identity(hs[0]), tensor_swap(hs[1], hs[2])),
                  identity(hs[3]))
-    return witnessed_distance(lhs.carrier, rhs.carrier, sigma)
+    return witnessed_distance(lhs, rhs, sigma)
 
 
 def _int0_yanking(cfg, rng, idx):
     u = int(rng.integers(1, 3))
     out = canonical_trace(int_symmetry(u, u), u)
-    return _pair_distance(out, int_identity(u))
+    return _AUTOMATA.dist(out, int_identity(u))
 
 
 def _functor_identity(cfg, rng, idx):
     k = 0 if idx == 0 else int(rng.integers(1, min(3, cfg.max_dim) + 1))
-    return _pair_distance(functor_image(unit_automata(k, k)[0]),
+    return _AUTOMATA.dist(functor_image(unit_automata(k, k)[0]),
                           int_identity(k))
 
 
@@ -498,7 +493,7 @@ def _functor_composition(cfg, rng, idx):
     lhs = functor_image(cascade(t1, t2))
     rhs = int_compose(functor_image(t1), functor_image(t2))
     sigma = kron(kron(identity(h1), tensor_swap(h2, h1)), identity(h2))
-    return witnessed_distance(lhs.carrier, rhs.carrier, sigma)
+    return witnessed_distance(lhs, rhs, sigma)
 
 
 def _functor_dagger(cfg, rng, idx):
@@ -507,7 +502,7 @@ def _functor_dagger(cfg, rng, idx):
     t = make_unitary_dqta(h, k, random_isometry(h * k, h * k, rng))
     lhs = functor_image(dagger_dqta(t))
     rhs = int_dagger(functor_image(t))
-    return witnessed_distance(lhs.carrier, rhs.carrier, tensor_swap(h, h))
+    return witnessed_distance(lhs, rhs, tensor_swap(h, h))
 
 
 def _functor_feedback(cfg, rng, idx):
@@ -517,7 +512,7 @@ def _functor_feedback(cfg, rng, idx):
     t = make_unitary_dqta(h, k, random_isometry(h * k, h * k, rng))
     lhs = functor_image(feedback_dqta(t, u))
     rhs = canonical_trace(functor_image(t), u)
-    return _pair_distance(lhs, rhs)
+    return _AUTOMATA.dist(lhs, rhs)
 
 
 # ------------------------------------------------------------ orchestration

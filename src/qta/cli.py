@@ -50,6 +50,7 @@ import bisect
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ from .axioms import (
 from .dqta import (
     Dqta,
     UnitaryDqta,
+    as_unitary,
     cascade,
     feedback_dqta,
     make_unitary_dqta,
@@ -496,8 +498,8 @@ def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
     The cell is an Int morphism from its left boundary to its right one:
     as_int0 reads its outputs [right, left] as [forward, return], which
     under mirror its outputs [left, right] already are.  A ring closes
-    both boundary loops of the n-fold composite.  A plain Dqta cell is
-    checked as a unitary first.
+    both boundary loops of the n-fold composite.  The cell is trusted or
+    checked by dqta.as_unitary.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -505,13 +507,15 @@ def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
         raise ValueError("cell interfaces must split into left and right "
                          f"halves, got k={cell.k}, l={cell.l}")
     s = cell.k // 2
-    if not isinstance(cell, UnitaryDqta):
-        cell = make_unitary_dqta(cell.h, cell.k, cell.tau)
-    step = Int0Morphism(s, s, cell) if mirror else as_int0(cell, s)
+    cell = as_unitary(cell)
+    step = Int0Morphism(cell.h, s, s, cell.tau) if mirror else as_int0(cell, s)
     seg = functools.reduce(int_compose, [step] * n)
     if ring:
-        return feedback_dqta(seg.carrier, 2 * s)
-    return seg.carrier if mirror else as_int0(seg.carrier, s).carrier
+        return feedback_dqta(seg, 2 * s)
+    # back in the cell's layout, as a plain automaton: read as a morphism,
+    # a default segment would be wired wrong by int_compose
+    seg = seg if mirror else as_int0(seg, s)
+    return UnitaryDqta(seg.h, seg.k, seg.l, seg.tau)
 
 
 # -------------------------------------------------------------- simulation
@@ -533,7 +537,7 @@ def simulate(q, initial, steps) -> SimulationTrace:
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if isinstance(initial, tuple) and len(initial) == 2 \
-            and all(isinstance(x, int) for x in initial):
+            and all(isinstance(x, numbers.Integral) for x in initial):
         iface, basis = initial
         if not 0 <= iface < n:
             raise ValueError(f"interface index {iface} out of range 0..{n - 1}")

@@ -27,12 +27,14 @@ anywhere.
 
 Validation policy: an operator is checked where it enters or leaves the
 library, always by the one gate linalg.check_defect -- in make_dqta,
-make_unitary_dqta and intcat.make_qta, in dagger_dqta, intcat.as_int0 and
-cli.chain_cells when handed a plain Dqta, in the three trace entry points,
-on file load and before a file is written.  Feedback sends isometries to
-isometries and every other operation only routes or multiplies them, so
-operations here and in intcat build their results unchecked
-(linalg.owned), returning a UnitaryDqta when every operand is one.
+make_unitary_dqta and intcat.make_qta, in the three trace entry points,
+on file load and before a file is written.  Wherever a unitary is needed
+one trust rule, as_unitary, holds: a UnitaryDqta is trusted, and a plain
+square Dqta is checked as a unitary by make_unitary_dqta.  Feedback sends
+isometries to isometries and every other operation only routes or
+multiplies them, so operations here and in intcat build their results
+unchecked (linalg.owned), returning a UnitaryDqta when every operand is
+one.
 """
 
 from dataclasses import dataclass
@@ -102,6 +104,12 @@ def make_unitary_dqta(h: int, k: int, tau: Operator) -> UnitaryDqta:
     t = UnitaryDqta(h, k, k, tau)
     check_defect(unitary_defect(tau), "transition must be unitary")
     return t
+
+
+def as_unitary(t: Dqta) -> UnitaryDqta:
+    """The trust rule: a UnitaryDqta as it is; a plain square Dqta, only
+    checked as an isometry, checked as a unitary by make_unitary_dqta."""
+    return t if isinstance(t, UnitaryDqta) else make_unitary_dqta(t.h, t.k, t.tau)
 
 
 def cascade(t1: Dqta, t2: Dqta) -> Dqta:
@@ -200,12 +208,10 @@ def dagger_dqta(t: Dqta) -> UnitaryDqta:
     """Run a unitary automaton backwards: adjoint transition, L -> K.
 
     Involutive on the nose: dagger(dagger(t)) has exactly t's matrix.
-    A UnitaryDqta is trusted; a plain Dqta was only checked as an
-    isometry, so its unitary defect is checked here.  The adjoint has
-    the same unitary defect as t.tau, so one check covers both.
+    t is trusted or checked by as_unitary; the adjoint has the same
+    unitary defect as t.tau, so one check covers both.
     """
     if t.k != t.l:
         raise ShapeError(f"dagger needs k = l, got {t.k}, {t.l}")
-    if not isinstance(t, UnitaryDqta):
-        check_defect(unitary_defect(t.tau), "dagger needs a unitary transition")
+    t = as_unitary(t)
     return UnitaryDqta(t.h, t.l, t.l, adjoint(t.tau))

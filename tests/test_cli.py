@@ -26,6 +26,7 @@ from qta import dqta, intcat, linalg, trace
 from qta.dqta import (
     Dqta,
     UnitaryDqta,
+    dagger_dqta,
     make_dqta,
     make_unitary_dqta,
     turing_tensor,
@@ -715,7 +716,18 @@ def test_as_int0_checks_a_plain_dqta_as_a_unitary():
     with pytest.raises(IsometryError, match="transition must be unitary"):
         as_int0(hadamard_edge_cell(), 1)
     t = make_dqta(1, 2, 2, sum_swap(1, 1))  # plain, but unitary
-    assert as_int0(t, 1).carrier.tau.mat.tolist() == [[1, 0], [0, 1]]
+    assert as_int0(t, 1).tau.mat.tolist() == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("site", [
+    dagger_dqta, lambda t: as_int0(t, 1), lambda t: chain_cells(t, 2),
+], ids=["dagger_dqta", "as_int0", "chain_cells"])
+def test_one_trust_rule_for_unitaries(site):
+    # a UnitaryDqta is trusted; a plain Dqta is checked as a unitary
+    with pytest.raises(IsometryError) as err:
+        site(hadamard_edge_cell())
+    assert str(err.value).startswith("transition must be unitary (defect 2.0")
+    assert isinstance(site(make_dqta(1, 2, 2, sum_swap(1, 1))), UnitaryDqta)
 
 
 def gather_chain(cell, n, mirror=False, ring=False):
@@ -754,7 +766,7 @@ def test_chain_equals_the_gathered_wiring_bit_for_bit(states, bits,
         seg = chain_cells(cell, n, mirror=mirror, ring=ring)
         ref = gather_chain(cell, n, mirror=mirror, ring=ring)
         side = 0 if ring else cell.k
-        assert isinstance(seg, UnitaryDqta)
+        assert type(seg) is UnitaryDqta
         assert (seg.h, seg.k, seg.l) == (cell.h ** n, side, side)
         assert np.array_equal(seg.tau.mat, ref.tau.mat)
 
@@ -971,6 +983,12 @@ def test_simulate_rejects_what_no_command_sends(value, initial, message):
     with pytest.raises(ValueError) as err:
         simulate(value, initial, 1)
     assert str(err.value) == message
+
+
+def test_simulate_reads_a_start_pair_of_numpy_integers():
+    cell = build_cell(2, 1)
+    assert (simulate(cell, (np.int64(3), np.int32(1)), 3)
+            == simulate(cell, (3, 1), 3))
 
 
 def test_writer_builds_dense_text_before_opening_the_file(tmp_path,

@@ -25,6 +25,7 @@ from qta.dqta import (
     unit_automata,
     witnessed_distance,
 )
+from qta.cli import simulate, write_automaton
 from qta.intcat import (
     Int0Morphism,
     Qta,
@@ -50,7 +51,8 @@ TOL = 1e-8
 
 def rand_int0(k, l, h, seed):
     n = h * (k + l)
-    return Int0Morphism(k, l, make_unitary_dqta(h, k + l, random_isometry(n, n, seed)))
+    return Int0Morphism(h, k, l,
+                        make_unitary_dqta(h, k + l, random_isometry(n, n, seed)).tau)
 
 
 def rand_unitary(h, k, seed):
@@ -59,8 +61,8 @@ def rand_unitary(h, k, seed):
 
 def same_morphism(f, g, tol=TOL):
     assert (f.src, f.dst) == (g.src, g.dst)
-    assert f.carrier.h == g.carrier.h
-    return op_distance(f.carrier.tau, g.carrier.tau) <= tol
+    assert f.h == g.h
+    return op_distance(f.tau, g.tau) <= tol
 
 
 # ----------------------------------------------------------------- the types
@@ -80,10 +82,58 @@ def test_qta_validation():
 
 def test_morphism_validation():
     with pytest.raises(ShapeError):
-        Int0Morphism(2, 2, rand_unitary(1, 3, seed=0))
-    # a 1 + 1 carrier with three outputs would lose a row under int_dagger
+        Int0Morphism(1, 2, 2, rand_unitary(1, 3, seed=0).tau)
+    # a 1 + 1 morphism with three outputs would lose a row under int_dagger
     with pytest.raises(ShapeError):
-        Int0Morphism(1, 1, make_dqta(1, 2, 3, random_isometry(3, 2, 0)))
+        Int0Morphism(1, 1, 1, random_isometry(3, 2, 0))
+
+
+# each constructor with the (src, dst) of its result
+CONSTRUCTORS = {
+    "int_identity": (lambda: int_identity(2), (2, 2)),
+    "int_symmetry": (lambda: int_symmetry(1, 2), (3, 3)),
+    "int_compose": (lambda: int_compose(rand_int0(2, 1, 2, seed=26),
+                                        rand_int0(1, 2, 1, seed=27)), (2, 2)),
+    "int_tensor": (lambda: int_tensor(rand_int0(2, 1, 2, seed=26),
+                                      rand_int0(1, 2, 1, seed=27)), (3, 3)),
+    "int_dagger": (lambda: int_dagger(rand_int0(2, 1, 2, seed=26)), (1, 2)),
+    "unit": (lambda: int_units(2)[0], (0, 4)),
+    "counit": (lambda: int_units(2)[1], (4, 0)),
+    "canonical_trace": (lambda: canonical_trace(rand_int0(2, 2, 1, seed=28), 1),
+                        (1, 1)),
+    "unname": (lambda: unname(make_qta(2, 3, random_isometry(6, 6, 29)), 1, 2),
+               (1, 2)),
+    "as_int0": (lambda: as_int0(rand_unitary(2, 3, seed=30), 2), (2, 1)),
+    "functor_image": (lambda: functor_image(rand_unitary(2, 2, seed=31)), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_every_morphism_is_a_unitary_dqta_split_as_src_plus_dst(name):
+    build, ranks = CONSTRUCTORS[name]
+    f = build()
+    assert type(f) is Int0Morphism and isinstance(f, UnitaryDqta)
+    assert (f.src, f.dst) == ranks
+    assert f.k == f.l == f.src + f.dst
+
+
+def test_unit_and_counit_share_a_transition_but_not_a_split():
+    d, e = int_units(1)
+    assert d.tau is e.tau
+    assert d != e
+    assert repr(d) == "Int0Morphism(h=1, k=2, l=2, tau=Operator(2x2), src=0)"
+    assert repr(e) == "Int0Morphism(h=1, k=2, l=2, tau=Operator(2x2), src=2)"
+
+
+def test_a_morphism_is_written_and_simulated_as_its_dqta(tmp_path):
+    f = rand_int0(2, 1, 2, seed=32)
+    t = UnitaryDqta(f.h, f.k, f.l, f.tau)
+    write_automaton(f, str(tmp_path / "f.json"))
+    write_automaton(t, str(tmp_path / "t.json"))
+    text = (tmp_path / "f.json").read_text()
+    assert text == (tmp_path / "t.json").read_text()
+    assert text.startswith('{"kind": "dqta", "h": 2, "k": 3, "l": 3, ')
+    assert simulate(f, (1, 1), 3) == simulate(t, (1, 1), 3)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -94,7 +144,7 @@ def test_morphism_validation():
     pytest.param(lambda: Qta(1, -1, identity(0)),
                  "state dim must be positive and interfaces nonnegative, "
                  "got h=1, k=-1, l=-1", id="Qta(1, -1)"),
-    (lambda: Int0Morphism(-1, 2, rand_unitary(1, 1, seed=0)),
+    (lambda: Int0Morphism(1, -1, 2, rand_unitary(1, 1, seed=0).tau),
      "bad ranks -1, 2"),
     (lambda: as_int0(make_dqta(1, 1, 2, random_isometry(2, 1, 0)), 0),
      "need a square automaton, got 1 -> 2"),
@@ -193,7 +243,7 @@ def test_dagger_contravariant_up_to_state_reordering():
     g = rand_int0(1, 2, 3, seed=9)
     lhs = int_dagger(int_compose(f, g))
     rhs = int_compose(int_dagger(g), int_dagger(f))
-    assert witnessed_distance(lhs.carrier, rhs.carrier, tensor_swap(2, 3)) <= ISOMETRY_TOL
+    assert witnessed_distance(lhs, rhs, tensor_swap(2, 3)) <= ISOMETRY_TOL
 
 
 # ------------------------------------------------------------------- tensor
@@ -214,7 +264,7 @@ def test_tensor_bifunctorial_up_to_state_reordering():
     lhs = int_compose(int_tensor(f, f2), int_tensor(g, g2))
     rhs = int_tensor(int_compose(f, g), int_compose(f2, g2))
     sigma = kron(kron(identity(2), tensor_swap(3, 2)), identity(2))
-    assert witnessed_distance(lhs.carrier, rhs.carrier, sigma) <= ISOMETRY_TOL
+    assert witnessed_distance(lhs, rhs, sigma) <= ISOMETRY_TOL
 
 
 # ---------------------------------------------------------- canonical trace
@@ -270,8 +320,8 @@ def test_dqta_operations_take_a_qta_as_its_directed_reading():
 def test_unname_gives_the_rewrapped_carrier_bit_for_bit(q):
     # unname of q is as_int0 of its transition rewrapped as a plain UnitaryDqta
     for src in range(q.n + 1):
-        got = unname(q, src, q.n - src).carrier.tau
-        want = as_int0(UnitaryDqta(q.h, q.n, q.n, q.tau), src).carrier.tau
+        got = unname(q, src, q.n - src).tau
+        want = as_int0(UnitaryDqta(q.h, q.n, q.n, q.tau), src).tau
         assert (got.form is None) == (want.form is None)
         if want.form is None:
             assert got.mat.tobytes() == want.mat.tobytes()
@@ -321,14 +371,14 @@ def test_functor_preserves_composition_up_to_state_reordering():
     lhs = functor_image(cascade(t1, t2))
     rhs = int_compose(functor_image(t1), functor_image(t2))
     sigma = kron(kron(identity(2), tensor_swap(3, 2)), identity(3))
-    assert witnessed_distance(lhs.carrier, rhs.carrier, sigma) <= ISOMETRY_TOL
+    assert witnessed_distance(lhs, rhs, sigma) <= ISOMETRY_TOL
 
 
 def test_functor_preserves_dagger_up_to_state_swap():
     t = rand_unitary(3, 2, seed=24)
     lhs = functor_image(dagger_dqta(t))
     rhs = int_dagger(functor_image(t))
-    assert witnessed_distance(lhs.carrier, rhs.carrier, tensor_swap(3, 3)) <= ISOMETRY_TOL
+    assert witnessed_distance(lhs, rhs, tensor_swap(3, 3)) <= ISOMETRY_TOL
 
 
 def test_functor_preserves_feedback_strictly():
