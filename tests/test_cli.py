@@ -853,6 +853,122 @@ def test_simulation_rejects_rectangular_automata():
         simulate(rand_dqta(1, 2, 3, 0), (0, 0), 1)
 
 
+def loop_simulate(q, initial, steps):
+    """simulate as a per-step loop over the whole state vector, with masses
+    and totals rounded to floats at every step: the reference for the
+    particle walk."""
+    h, n, tau = q.h, q.k, q.tau
+    if isinstance(initial, tuple):
+        v = np.zeros(h * n, dtype=complex)
+        v[initial[1] * n + initial[0]] = 1.0
+    else:
+        v = np.asarray(initial, dtype=complex).reshape(-1)
+    masses, norms = [], []
+    for step in range(steps + 1):
+        if step > 0 and tau.form is None:
+            v = tau.mat @ v
+        elif step > 0:
+            w = np.empty_like(v)
+            w[tau.form[0]] = tau.form[1] * v
+            v = w
+        summed = (np.abs(v.reshape(h, n)) ** 2).sum(axis=0)
+        masses.append(tuple(float(x) for x in summed))
+        norms.append(float(summed.sum()))
+    return cli.SimulationTrace(steps, tuple(masses), tuple(norms))
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_walk_on_a_segment_equals_the_loop_bit_for_bit(mirror):
+    seg = chain_cells(build_cell(2, 2), 4, mirror=mirror)
+    for start in range(seg.k):
+        assert (simulate(seg, (start, 0), 1000)
+                == loop_simulate(seg, (start, 0), 1000))
+
+
+def unit_vector(rng, side, keep):
+    v = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+    v[~keep] = 0.0
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_simulation_of_a_phased_monomial_equals_the_loop_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    for h in (1, 3):
+        q = UnitaryDqta(h, n, n, random_monomial(rng, h * n, h * n))
+        one = np.zeros(h * n, dtype=complex)
+        one[h * n - 1] = np.exp(0.7j)
+        starts = [(i, b) for i in range(n) for b in range(h)] + [
+            unit_vector(rng, h * n, np.ones(h * n, dtype=bool)),
+            unit_vector(rng, h * n, np.arange(h * n) % 2 == 0),
+            one]
+        for start in starts:
+            assert simulate(q, start, 300) == loop_simulate(q, start, 300)
+
+
+def test_simulation_of_a_dense_automaton_equals_the_loop_bit_for_bit():
+    rng = np.random.default_rng(9)
+    q = rand_dqta(3, 4, 4, 12)
+    for start in ((2, 1), unit_vector(rng, 12, np.ones(12, dtype=bool))):
+        for steps in (0, 200):
+            assert simulate(q, start, steps) == loop_simulate(q, start, steps)
+    seg = chain_cells(build_cell(2, 2), 2)
+    assert simulate(seg, (3, 0), 0) == loop_simulate(seg, (3, 0), 0)
+
+
+@pytest.fixture(scope="module")
+def wide_segment():
+    # side 262144: a state vector is 4 MiB
+    return chain_cells(build_cell(2, 2), 8)
+
+
+def test_a_walk_costs_its_trace_not_the_side(wide_segment):
+    seg = wide_segment
+    trace = simulate(seg, (0, 0), 1000)
+    assert trace.masses[:20] == loop_simulate(seg, (0, 0), 19).masses
+    assert all(abs(t - 1.0) <= 1e-9 for t in trace.total_norm)
+    peaks = {}
+    for steps in (1000, 4000):
+        tracemalloc.start()
+        try:
+            simulate(seg, (0, 0), steps)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    larger_trace = cli.TRACE_BYTES_PER_ENTRY * 4001 * (seg.k + 1)
+    assert peaks[4000] - peaks[1000] <= larger_trace
+
+
+@pytest.mark.parametrize("start", ["pair", "vector"])
+def test_a_trace_past_memory_is_refused_before_the_first_step(wide_segment,
+                                                              start):
+    seg = wide_segment
+    side = seg.h * seg.k
+    initial = (0, 0) if start == "pair" else np.eye(1, side, 5)[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            simulate(seg, initial, 10 ** 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value).startswith(
+        f"simulate: refusing to simulate {10 ** 15} steps over {seg.k} "
+        "interfaces: holding the trace needs ")
+    assert "GiB of physical memory" in str(err.value)
+    # a state vector is 4 MiB, so no step was taken
+    assert peak < 2 ** 20
+
+
+def test_simulate_command_refuses_a_trace_past_memory(capsys):
+    cell = os.path.join(DATA_DIR, "cell_2s1b.json")
+    assert run_command(["simulate", cell, "--steps", str(10 ** 15)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {cell}: refusing to simulate {10 ** 15} "
+                          "steps over 4 interfaces: holding the trace needs ")
+
+
 # ----------------------------------------------------------------- commands
 
 def test_chaining_commutes_with_bidirectionalization():
