@@ -17,11 +17,13 @@ and bidir's functor route refuse it from the dims of their valid
 arguments, before any algebra runs.
 
 The writer streams the text of a carried form (see linalg) row by row,
-each a zero row with at most one entry replaced.  The loader reads
-exactly that text back as the form (_read_carried), with no dense matrix
-and no number per entry.  Any other file is parsed whole as nested lists
-and checked entry by entry, which raises every loader error, and its
-matrix's form is found exactly (carried), so both give the same bits.
+each a zero row with at most one entry replaced.  The loader reads the
+file's bytes and reads exactly that text back in place as the form
+(_read_carried), with no decoding, no dense matrix and no number per
+entry.  Only any other file is decoded, as open(path).read() decodes it,
+parsed whole as nested lists and checked entry by entry, which raises
+every loader error; its form is found exactly (carried), so both give
+the same bits from files of one format.
 
 The cell builder makes one tape cell: state space of alphabet_bits qubits,
 input and output interfaces split as left summands "(L,i)" then right
@@ -46,8 +48,8 @@ running out of memory, 2 usage errors.
 """
 
 import argparse
-import bisect
 import functools
+import io
 import json
 import math
 import numbers
@@ -135,40 +137,42 @@ def _entries_to_matrix(rows, shape, path):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-_ZERO_ENTRY = "[0.0, 0.0]"
-# entry j of a row starts _STRIDE * j characters after the row's first entry
+_ZERO_ENTRY = b"[0.0, 0.0]"
+# entry j of a row starts _STRIDE * j bytes after the row's first entry
 _STRIDE = len(_ZERO_ENTRY) + len(", ")
 
 
 def _zero_row(cols):
     """The text of a row of cols zero entries."""
-    return "[" + ", ".join([_ZERO_ENTRY] * cols) + "]"
+    return b"[" + b", ".join([_ZERO_ENTRY] * cols) + b"]"
 
 
 def _row_pieces(zero, j, re_, im):
     """The text of the zero row with entry j replaced by [re_, im], as
     (before, entry, after) slices of it and the entry's text."""
     cut = 1 + _STRIDE * j
-    return (zero[:cut], f"[{float(re_)!r}, {float(im)!r}]",
+    return (zero[:cut], f"[{float(re_)!r}, {float(im)!r}]".encode(),
             zero[cut + len(_ZERO_ENTRY):])
 
 
 def _head_text(kind, h, k, l):
     """The text of an automaton file up to its matrix; a qta stores no l."""
     record = {"kind": kind, "h": h, "k": k, **({} if kind == "qta" else {"l": l})}
-    return json.dumps(record)[:-1] + ', "matrix": '
+    return json.dumps(record)[:-1].encode() + b', "matrix": '
 
 
 def _tail_text(labels):
     """The text of an automaton file after its matrix."""
-    return "}\n" if labels is None else f', "labels": {json.dumps(labels)}}}\n'
+    return (b"}\n" if labels is None
+            else f', "labels": {json.dumps(labels)}}}\n'.encode())
 
 
 def _matrix_text(op):
     """json.dumps of op's [[[re, im], ...], ...] entries in pieces, made
     lazily for a carried form, with no dense array and no whole text."""
     if op.form is None:
-        return [json.dumps(np.stack([op.mat.real, op.mat.imag], axis=-1).tolist())]
+        return [json.dumps(
+            np.stack([op.mat.real, op.mat.imag], axis=-1).tolist()).encode()]
     return _carried_text(op)
 
 
@@ -177,12 +181,12 @@ def _carried_text(op):
     source = np.full(op.rows, -1)
     source[target] = np.arange(op.cols)
     zero = _zero_row(op.cols)
-    yield "["
+    yield b"["
     for i, j in enumerate(source.tolist()):
-        yield ", " if i else ""
+        yield b", " if i else b""
         yield from (_row_pieces(zero, j, phase[j].real, phase[j].imag)
                     if j >= 0 else [zero])
-    yield "]"
+    yield b"]"
 
 
 def _require_int(record, field, path):
@@ -235,54 +239,55 @@ def _check_labels(record, kind, k, l, path):
             "output": _check_label_list(labels["output"], l, "output", path)}
 
 
-def _read_carried(text, path):
-    """The record, its transition a carried form, when text is exactly what
-    write_automaton writes for one; None for any other text.
+def _read_carried(data, path):
+    """The record, its transition a carried form, when the bytes data are
+    exactly what write_automaton writes for one; None for any others.
 
     Each row is the zero row or has entry j replaced (_row_pieces) by a
-    nonzero finite [re, im] in floats' reprs, j distinct, found by
-    bisection and checked in place with startswith.  Phases are built as
-    _entries_to_matrix builds entries, so the form is carried()'s on
-    json's matrix, bit for bit.  Nothing sized by the header is built
-    before the text is long enough for that many entries."""
+    nonzero finite [re, im] in floats' reprs, j distinct: the row's first
+    byte that differs from the zero row lies in entry j, within its first
+    10 bytes.  The pieces are checked in place with startswith.  Phases are
+    built as _entries_to_matrix builds entries, so the form is carried()'s
+    on json's matrix, bit for bit.  Nothing sized by the header is built
+    before the file is long enough for that many entries."""
     try:
-        # the writer's header is far shorter than 200 characters
-        record = json.loads(text[:text.index(', "matrix": ', 0, 200)] + "}")
+        # the writer's header is far shorter than 200 bytes
+        record = json.loads(data[:data.index(b', "matrix": ', 0, 200)] + b"}")
         kind, h, k, l = _check_header(record, path)
     except ValueError:
         return None
-    head = _head_text(kind, h, k, l) + "["
+    head = _head_text(kind, h, k, l) + b"["
     rows, cols = h * l, h * k
-    if (not rows or not cols or not text.startswith(head)
-            or len(text) - len(head) < rows * (_STRIDE * cols + 2)):
+    if (not rows or not cols or not data.startswith(head)
+            or len(data) - len(head) < rows * (_STRIDE * cols + 2)):
         return None
     p = len(head)
     zero = _zero_row(cols)
+    view, zeros = np.frombuffer(data, np.uint8), np.frombuffer(zero, np.uint8)
     found = {}  # column: (row, re, im)
     for i in range(rows):
         pieces = [zero]
-        if not text.startswith(zero, p):
-            # the last j before which the row reads as the zero row
-            j = bisect.bisect_left(range(1, cols), True, key=lambda c: (
-                not text.startswith(zero[:1 + _STRIDE * c], p)))
+        if not data.startswith(zero, p):
+            span = view[p:p + len(zero)]
+            j = (int((span != zeros[:len(span)]).argmax()) - 1) // _STRIDE
             entry = p + 1 + _STRIDE * j
-            close = text.find("]", entry)
+            close = data.find(b"]", entry)
             try:
-                re_, im = map(float, text[entry + 1:max(close, entry)].split(", "))
+                re_, im = map(float, data[entry + 1:max(close, entry)].split(b", "))
             except ValueError:
                 return None
-            if (j in found or re_ == im == 0
+            if (j < 0 or j in found or re_ == im == 0
                     or not (math.isfinite(re_) and math.isfinite(im))):
                 return None
             found[j] = (i, re_, im)
             pieces = _row_pieces(zero, j, re_, im)
-        for piece in (*pieces, ", " if i + 1 < rows else "]"):
-            if not text.startswith(piece, p):
+        for piece in (*pieces, b", " if i + 1 < rows else b"]"):
+            if not data.startswith(piece, p):
                 return None
             p += len(piece)
-    tail = text[p:]
+    tail = data[p:]
     try:
-        rest = json.loads("{" + tail.removeprefix(", "))
+        rest = json.loads(b"{" + tail.removeprefix(b", "))
         labels = _check_labels(rest, kind, k, l, path)
     except (ValueError, RecursionError):
         return None
@@ -327,12 +332,17 @@ def _load_nested(text, path):
 def load_record(path) -> AutomatonFile:
     """Read and structurally validate one automaton file.
 
-    Text that write_automaton wrote for a carried form is read by
+    The bytes that write_automaton wrote for a carried form are read by
     _read_carried; every other file, including every malformed one, is
-    parsed whole as nested lists, which raises the errors."""
-    with open(path) as fh:
-        text = fh.read()
-    return _read_carried(text, path) or _load_nested(text, path)
+    decoded as open(path).read() decodes it and parsed whole as nested
+    lists, which raises the errors."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if record := _read_carried(data, path):
+        return record
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
+    del data  # before json parses the text
+    return _load_nested(text, path)
 
 
 def _checked_value(record: AutomatonFile):
@@ -429,7 +439,7 @@ def write_automaton(value, path, labels=None):
     _refuse_oversized(value.tau.rows, value.tau.cols, path)
     # a dense matrix's text is built before the file is opened
     matrix = _matrix_text(value.tau)
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.write(_head_text(kind, value.h, value.k, value.l))
         fh.writelines(matrix)
         fh.write(_tail_text(labels))

@@ -277,7 +277,7 @@ def assert_loads_as_json(path, carried_text):
     assert record.tau.mat.tobytes() == matrix.tobytes()
     assert_same_form(record.tau, linalg.carried(matrix))
     assert record.labels == labels
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         assert (cli._read_carried(fh.read(), path) is not None) == carried_text
 
 
@@ -346,7 +346,7 @@ def test_zero_size_matrices_take_the_nested_reader(tmp_path, k, l, matrix):
     text = ('{"kind": "dqta", "h": 1, "k": %d, "l": %d, "matrix": %s}'
             % (k, l, matrix))
     path = write_text(tmp_path, text + "\n")
-    assert cli._read_carried(text + "\n", path) is None
+    assert cli._read_carried((text + "\n").encode(), path) is None
     record = load_record(path)
     assert record.tau.shape == (l, k)
     assert record.tau.mat.dtype == complex
@@ -393,7 +393,7 @@ def test_carried_reader_reads_the_writer_as_json_does(tmp_path, case):
     value, labels = case
     path = str(tmp_path / "t.json")
     write_automaton(value, path, labels)
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         record = cli._read_carried(fh.read(), path)
     assert record is not None
     matrix, json_labels = json_decode(path)
@@ -411,7 +411,7 @@ def assert_falls_back_as_json_does(path):
     error, the finite check's, or loads json's matrix bit for bit."""
     with open(path) as fh:
         text = fh.read()
-    assert cli._read_carried(text, path) is None
+    assert cli._read_carried(text.encode(), path) is None
     try:
         json.loads(text)
     except json.JSONDecodeError as exc:
@@ -466,9 +466,188 @@ def test_near_miss_texts_take_the_nested_reader(tmp_path, old, new):
                     {"input": ("a", "b", "c"), "output": ("p", "q", "r", "s")})
     with open(path) as fh:
         text = fh.read()
-    assert cli._read_carried(text, path) is not None
+    assert cli._read_carried(text.encode(), path) is not None
     assert text.count(old) == 1
     assert_falls_back_as_json_does(write_text(tmp_path, text.replace(old, new)))
+
+
+# phases whose entry text starts as the zero entry's does: the row's first
+# byte that differs from the zero row lies at entry offset 9, 1 or 6
+LOOKALIKES = [complex(0.0, 0.05), complex(-0.0, 1e-07), complex(0.0, -1.0)]
+
+
+def lookalike_text(phase, column, rows):
+    """The writer's text for a 12-column carried form into rows rows, phase
+    in column, 1.0 elsewhere, and the phase's entry text; the writer
+    refuses such a form, which is no isometry."""
+    target = np.random.default_rng(rows).permutation(rows)[:12]
+    tau = monomial(rows, target, [phase if j == column else 1.0
+                                  for j in range(12)])
+    entry = f"[{phase.real!r}, {phase.imag!r}]".encode()
+    return (cli._head_text("dqta", 1, 12, rows) + b"".join(cli._matrix_text(tau))
+            + cli._tail_text(None)), entry
+
+
+@pytest.mark.parametrize("rows", [12, 20], ids=["square", "tall"])
+@pytest.mark.parametrize("column", [0, 5, 11])
+@pytest.mark.parametrize("phase", LOOKALIKES)
+def test_row_scan_reads_lookalike_entries_as_json_does(tmp_path, phase,
+                                                       column, rows):
+    # the tall form has 8 zero rows
+    data, entry = lookalike_text(phase, column, rows)
+    assert data.count(entry) == 1
+    path = str(tmp_path / "t.json")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert_loads_as_json(path, carried_text=True)
+    assert load_record(path).tau.form[1][column] == (
+        phase.real + 1j * phase.imag)
+
+
+@pytest.mark.parametrize("byte", [b";", b"\t"])
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1], ids=[
+    "comma-before", "space-before", "comma-after", "space-after"])
+@pytest.mark.parametrize("phase", LOOKALIKES)
+def test_row_scan_declines_a_corrupt_separator_by_the_entry(tmp_path, phase,
+                                                            offset, byte):
+    # a tab for the space is still json, and json's matrix loads; a tab for
+    # the comma, or a semicolon, is json's error
+    data, entry = lookalike_text(phase, 5, 12)
+    at = data.index(entry) + (offset if offset < 0 else len(entry) + offset)
+    assert data[at:at + 1] == b", "[offset % 2:offset % 2 + 1]
+    path = str(tmp_path / "t.json")
+    with open(path, "wb") as fh:
+        fh.write(data[:at] + byte + data[at + 1:])
+    assert_falls_back_as_json_does(path)
+
+
+@pytest.mark.parametrize("keep", [1, 100, 150])
+def test_row_scan_declines_a_last_row_cut_short(tmp_path, keep):
+    # unit phases' texts are longer than the zero entry's, so the file still
+    # has room for 12 zero rows when its last row is cut short
+    tau = monomial(12, np.arange(12)[::-1], np.exp(1j * np.arange(1, 13)))
+    path = str(tmp_path / "t.json")
+    write_automaton(Dqta(1, 12, 12, tau), path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cut = data.rindex(b"]], [[") + 4 + keep
+    assert cut - len(cli._head_text("dqta", 1, 12, 12)) > 12 * (12 * 12 + 2)
+    with open(path, "wb") as fh:
+        fh.write(data[:cut])
+    assert_falls_back_as_json_does(path)
+
+
+# ----------------------------------------- the text the nested reader sees
+
+def copy_bytes(tmp_path, src, edit, name="t.json"):
+    """Path of a copy of file src with its bytes edited by edit."""
+    path = str(tmp_path / name)
+    with open(src, "rb") as fh, open(path, "wb") as out:
+        out.write(edit(fh.read()))
+    return path
+
+
+def assert_same_record(a, b):
+    assert (a.kind, a.h, a.k, a.l, a.labels) == (b.kind, b.h, b.k, b.l,
+                                                 b.labels)
+    assert_same_form(a.tau, b.tau)
+
+
+@pytest.mark.parametrize("name", ["cell_2s1b.json", "cell_2s1b_bidir.json"])
+def test_crlf_copy_takes_the_nested_reader_with_the_same_bits(tmp_path, name):
+    # text mode reads the CRLF copy as the writer's text; its bytes are not
+    src = os.path.join(DATA_DIR, name)
+    path = copy_bytes(tmp_path, src, lambda b: b.replace(b"\n", b"\r\n"))
+    with open(path, "rb") as fh:
+        assert fh.read().endswith(b"}\r\n")
+    with open(path) as fh, open(src) as orig:
+        assert fh.read() == orig.read()
+    assert_loads_as_json(path, carried_text=False)
+    assert_same_record(load_record(path), load_record(src))
+    assert load_record(path).tau.form is not None
+
+
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+def test_errors_count_lines_as_text_mode_does(tmp_path, newline):
+    # text mode reads \r and \r\n as \n, and json's error names the line
+    data = (b'{"kind": "dqta", "h": 1,\n "k": 1, "l": 2,\n "matrix": '
+            b'[[[.5, 0]], [[0, 1]]]}\n').replace(b"\n", newline)
+    path = str(tmp_path / "t.json")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(ValueError) as err:
+        load_record(path)
+    assert str(err.value) == f"{path}:3:15: Expecting value"
+
+
+def test_bom_copy_fails_as_json_fails_on_its_text(tmp_path):
+    path = copy_bytes(tmp_path, os.path.join(DATA_DIR, "cell_2s1b.json"),
+                      lambda b: b"\xef\xbb\xbf" + b)
+    with open(path) as fh:
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(fh.read())
+    assert exc.value.msg.startswith("Unexpected UTF-8 BOM")
+    with open(path, "rb") as fh:
+        assert cli._read_carried(fh.read(), path) is None
+    with pytest.raises(ValueError) as err:
+        load_record(path)
+    assert str(err.value) == (
+        f"{path}:{exc.value.lineno}:{exc.value.colno}: {exc.value.msg}")
+
+
+@pytest.mark.parametrize("old, new", [(b'"(R,2)"', b'"(R,\xff)"'),
+                                      (b"[0.0, 0.0]", b"[0.0, 0.\xff]")],
+                         ids=["in-a-label", "in-the-matrix"])
+def test_invalid_utf8_fails_as_reading_the_text_fails(tmp_path, capsys, old,
+                                                      new):
+    path = copy_bytes(tmp_path, os.path.join(DATA_DIR, "cell_2s1b.json"),
+                      lambda b: b.replace(old, new, 1))
+    with pytest.raises(UnicodeDecodeError) as exc:
+        with open(path) as fh:
+            fh.read()
+    with open(path, "rb") as fh:
+        assert cli._read_carried(fh.read(), path) is None
+    with pytest.raises(UnicodeDecodeError) as err:
+        load_record(path)
+    assert str(err.value) == str(exc.value)
+    assert run_command(["validate", path]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_nested_reader_keeps_no_bytes_while_json_parses(tmp_path):
+    # load_record's peak is the text's size over the parse's own peak; the
+    # file's bytes, as large again, are dropped before the parse
+    path = str(tmp_path / "haar.json")
+    write_automaton(make_unitary_dqta(32, 4, random_isometry(128, 128, 5)), path)
+    with open(path) as fh:
+        text = fh.read()
+    peaks = []
+    for step in (lambda: cli._load_nested(text, path), lambda: load_record(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1.5 * len(text)
+
+
+def test_raw_non_ascii_labels_take_the_nested_reader(tmp_path):
+    # the writer escapes them (json.dumps), so these bytes are not its text
+    labels = {"input": ["α", "b", "c"], "output": ["p", "q", "ρ", "ß"]}
+    path = str(tmp_path / "t.json")
+    write_automaton(Dqta(1, 3, 4, SIGNED), path, labels)
+    written = load_record(path)
+    with open(path, "rb") as fh:
+        escaped = fh.read()
+    head = escaped[:escaped.index(b', "labels": ')]
+    with open(path, "wb") as fh:
+        fh.write(head + b', "labels": '
+                 + json.dumps(labels, ensure_ascii=False).encode() + b"}\n")
+    assert_loads_as_json(path, carried_text=False)
+    assert load_record(path).labels == {key: tuple(value)
+                                        for key, value in labels.items()}
+    assert_same_form(load_record(path).tau, written.tau)
 
 
 @pytest.mark.parametrize("h", [500, 100000])
@@ -507,7 +686,7 @@ def test_non_json_numbers_fail_as_json_does(tmp_path, matrix):
     text = ('{"kind": "dqta", "h": 1, "k": 1,\n "l": 2, "matrix": '
             + matrix + '}')
     path = write_text(tmp_path, text)
-    assert cli._read_carried(text, path) is None
+    assert cli._read_carried(text.encode(), path) is None
     with pytest.raises(json.JSONDecodeError) as exc:
         json.loads(text)
     expected = f"{path}:{exc.value.lineno}:{exc.value.colno}: {exc.value.msg}"
@@ -519,7 +698,7 @@ def test_non_json_numbers_fail_as_json_does(tmp_path, matrix):
 def assert_non_finite_fails_to_load(path):
     """Neither reader gives a transition: the carried reader declines the
     file and the nested one names it in the finite check's error."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         assert cli._read_carried(fh.read(), path) is None
     for load in (load_record, parse_automaton):
         with pytest.raises(ValueError) as err:
