@@ -17,8 +17,9 @@ and bidir's functor route refuse it from the dims of their valid
 arguments, before any algebra runs.
 
 The writer streams the text of a carried form (see linalg) row by row,
-each a zero row with at most one entry replaced.  The loader reads the
-file's bytes and reads exactly that text back in place as the form
+each a zero row with at most one entry replaced, through a buffer of
+WRITE_BUFFER bytes.  The loader reads the file's bytes and reads exactly
+that text, or a CRLF copy of it, back in place as the form
 (_read_carried), with no decoding, no dense matrix and no number per
 entry.  Only any other file is decoded, as open(path).read() decodes it,
 parsed whole as nested lists and checked entry by entry, which raises
@@ -38,8 +39,7 @@ one, which wires the right output of cell i to the left input of cell i+1
 and the left output of cell i+1 back to the right input of cell i.
 --mirror flips which neighbour a left-moving output feeds: left outputs
 then wire forward and right outputs backward, so labels track direction
-of motion instead of the boundary being crossed.  --ring feeds the outer
-boundary pair back as well, leaving no interface.  Default and rule-table
+of motion instead of the boundary being crossed.  Default and rule-table
 cells carry their form, so a segment is built by index arithmetic and path
 following, with no dense matrix.
 
@@ -180,7 +180,7 @@ def _carried_text(op):
     target, phase = op.form
     source = np.full(op.rows, -1)
     source[target] = np.arange(op.cols)
-    zero = _zero_row(op.cols)
+    zero = memoryview(_zero_row(op.cols))  # sliced without copies
     yield b"["
     for i, j in enumerate(source.tolist()):
         yield b", " if i else b""
@@ -249,7 +249,10 @@ def _read_carried(data, path):
     10 bytes.  The pieces are checked in place with startswith.  Phases are
     built as _entries_to_matrix builds entries, so the form is carried()'s
     on json's matrix, bit for bit.  Nothing sized by the header is built
-    before the file is long enough for that many entries."""
+    before the file is long enough for that many entries.  The text's one
+    raw newline is its last byte (json escapes the others), so a CRLF or
+    CR copy, which text mode reads as the writer's text, differs only
+    there and is read too."""
     try:
         # the writer's header is far shorter than 200 bytes
         record = json.loads(data[:data.index(b', "matrix": ', 0, 200)] + b"}")
@@ -291,7 +294,9 @@ def _read_carried(data, path):
         labels = _check_labels(rest, kind, k, l, path)
     except (ValueError, RecursionError):
         return None
-    if len(found) != cols or tail != _tail_text(labels):
+    text = _tail_text(labels)
+    if len(found) != cols or tail not in (text, text[:-1] + b"\r\n",
+                                          text[:-1] + b"\r"):
         return None
     row, res, ims = map(np.array, zip(*(found[j] for j in range(cols))))
     return AutomatonFile(kind, h, k, l, monomial(rows, row, res + 1j * ims),
@@ -380,9 +385,11 @@ def _read_dqta(command, *paths):
 # by tracemalloc on dense Haar files of side 256 and 512, with 25% to spare.
 READ_BACK_BYTES_PER_ENTRY = 300
 
-# Peak bytes per segment column of closing a ring of a carried cell, 214.3
-# by tracemalloc at n = 6..8 on the 2-state 2-bit cell, with 25% to spare.
-RING_BYTES_PER_COLUMN = 270
+# write_automaton's buffer: on 2 cores, the side-1024 segment's 12.6 MB of
+# row pieces took 25.4 / 21.3 / 18.2 / 16.9 / 17.5 ms (medians of 25) in
+# 2048 / 205 / 49 / 13 / 4 writes to the file at 8 KiB (the default) /
+# 64 KiB / 256 KiB / 1 MiB / 4 MiB, with no copy of the whole text.
+WRITE_BUFFER = 2 ** 20
 
 
 # Peak bytes per trace entry (n masses and a total per step) of qta simulate,
@@ -408,19 +415,15 @@ def _refuse_oversized(rows, cols, path):
             f"to write a {rows}x{cols} transition: reading it back", path)
 
 
-def _refuse_oversized_side(factor, base, exp, path, carried_ring=False):
-    """_refuse_oversized for the square side factor * base ** exp, or the
-    ring of a carried segment of that side at RING_BYTES_PER_COLUMN; a side
+def _refuse_oversized_side(factor, base, exp, path):
+    """_refuse_oversized for the square side factor * base ** exp; a side
     past the int-to-str limit, so past any memory, is named, never built."""
     limit = sys.get_int_max_str_digits() or math.inf
     if exp * math.log10(base) <= limit and (side := factor * base ** exp) < 10 ** limit:
-        need = side * (RING_BYTES_PER_COLUMN if carried_ring
-                       else READ_BACK_BYTES_PER_ENTRY * side)
+        need = READ_BACK_BYTES_PER_ENTRY * side * side
     else:
         side, need = f"({factor}*{base}**{exp})", None
-    what = (f"the ring of a {side}x{side} segment: building it" if carried_ring
-            else f"a {side}x{side} transition: reading it back")
-    _refuse(need, "to write " + what, path)
+    _refuse(need, f"to write a {side}x{side} transition: reading it back", path)
 
 
 def write_automaton(value, path, labels=None):
@@ -439,7 +442,7 @@ def write_automaton(value, path, labels=None):
     _refuse_oversized(value.tau.rows, value.tau.cols, path)
     # a dense matrix's text is built before the file is opened
     matrix = _matrix_text(value.tau)
-    with open(path, "wb") as fh:
+    with open(path, "wb", buffering=WRITE_BUFFER) as fh:
         fh.write(_head_text(kind, value.h, value.k, value.l))
         fh.writelines(matrix)
         fh.write(_tail_text(labels))
@@ -507,14 +510,13 @@ def build_cell(states, alphabet_bits, rule=None) -> UnitaryDqta:
     return make_unitary_dqta(h, width, tau)
 
 
-def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
+def chain_cells(cell, n, mirror=False) -> UnitaryDqta:
     """Tape segment of n copies of cell, wired as in the module docstring.
 
     The cell is an Int morphism from its left boundary to its right one:
     as_int0 reads its outputs [right, left] as [forward, return], which
-    under mirror its outputs [left, right] already are.  A ring closes
-    both boundary loops of the n-fold composite.  The cell is trusted or
-    checked by dqta.as_unitary.
+    under mirror its outputs [left, right] already are.  The cell is
+    trusted or checked by dqta.as_unitary.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -525,8 +527,6 @@ def chain_cells(cell, n, mirror=False, ring=False) -> UnitaryDqta:
     cell = as_unitary(cell)
     step = Int0Morphism(cell.h, s, s, cell.tau) if mirror else as_int0(cell, s)
     seg = functools.reduce(int_compose, [step] * n)
-    if ring:
-        return feedback_dqta(seg, 2 * s)
     # back in the cell's layout, as a plain automaton: read as a morphism,
     # a default segment would be wired wrong by int_compose
     seg = seg if mirror else as_int0(seg, s)
@@ -740,15 +740,9 @@ def _cmd_chain(args):
         raise ValueError(f"{args.file}: chain needs interfaces labeled as "
                          "matching (L,*) and (R,*) halves")
     if args.n >= 1:
-        # a ring writes a 0x0 transition, but builds its whole segment first
-        _refuse_oversized_side(value.k, value.h, args.n, args.output,
-                               args.ring and value.tau.form is not None)
-    out = chain_cells(value, args.n, mirror=args.mirror, ring=args.ring)
-    if args.ring:
-        labels = {"input": (), "output": ()}
-    else:
-        labels = record.labels
-    return _write(out, args.output, labels)
+        _refuse_oversized_side(value.k, value.h, args.n, args.output)
+    out = chain_cells(value, args.n, mirror=args.mirror)
+    return _write(out, args.output, record.labels)
 
 
 def _cmd_simulate(args):
@@ -821,8 +815,6 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mirror", action="store_true",
                    help="flip which neighbour a left-moving output feeds")
-    p.add_argument("--ring", action="store_true",
-                   help="also close the outer boundary pair")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_chain)
 

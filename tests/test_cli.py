@@ -1,5 +1,6 @@
 import glob
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -553,18 +554,45 @@ def assert_same_record(a, b):
     assert_same_form(a.tau, b.tau)
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
 @pytest.mark.parametrize("name", ["cell_2s1b.json", "cell_2s1b_bidir.json"])
-def test_crlf_copy_takes_the_nested_reader_with_the_same_bits(tmp_path, name):
-    # text mode reads the CRLF copy as the writer's text; its bytes are not
+def test_crlf_copy_takes_the_carried_reader_with_the_same_bits(
+        tmp_path, name, newline):
+    # text mode reads the copy as the writer's text; its bytes differ only
+    # in the last, the text's one raw newline
     src = os.path.join(DATA_DIR, name)
-    path = copy_bytes(tmp_path, src, lambda b: b.replace(b"\n", b"\r\n"))
-    with open(path, "rb") as fh:
-        assert fh.read().endswith(b"}\r\n")
+    path = copy_bytes(tmp_path, src, lambda b: b.replace(b"\n", newline))
+    with open(path, "rb") as fh, open(src, "rb") as orig:
+        assert fh.read() == orig.read()[:-1] + newline
     with open(path) as fh, open(src) as orig:
         assert fh.read() == orig.read()
+    assert_loads_as_json(path, carried_text=True)
+    assert_same_record(load_record(path), load_record(src))
+
+
+@pytest.mark.parametrize("end", [b"\n\r\n", b"\r\n\r\n", b"\n\r", b"\r\r"])
+def test_only_the_last_newline_may_be_crlf(tmp_path, end):
+    src = os.path.join(DATA_DIR, "cell_2s1b.json")
+    path = copy_bytes(tmp_path, src, lambda b: b[:-1] + end)
     assert_loads_as_json(path, carried_text=False)
     assert_same_record(load_record(path), load_record(src))
-    assert load_record(path).tau.form is not None
+
+
+def test_crlf_copy_of_a_segment_reads_in_place(tmp_path):
+    # through the nested reader this copy of the side-1024 segment peaked
+    # at 204.7 MiB, against 12.3 MiB for the file as written
+    seg = chain_cells(build_cell(2, 2), 4)
+    src = str(tmp_path / "seg.json")
+    write_automaton(seg, src, {"input": cell_labels(2), "output": cell_labels(2)})
+    path = copy_bytes(tmp_path, src, lambda b: b.replace(b"\n", b"\r\n"))
+    tracemalloc.start()
+    try:
+        record = load_record(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_form(record.tau, seg.tau)
+    assert peak < 2 * os.path.getsize(path)
 
 
 @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
@@ -842,12 +870,6 @@ def test_mirror_agrees_on_symmetric_cells_and_differs_on_chiral():
     assert op_distance(plain.tau, flipped.tau) > 1e-6
 
 
-def test_ring_closes_every_interface():
-    cell = build_cell(2, 1)
-    ring = chain_cells(cell, 2, ring=True)
-    assert (ring.h, ring.k, ring.l) == (4, 0, 0)
-
-
 def hadamard_edge_cell():
     """(I + 1e-9 e1 e1^dagger)(H (x) H), H the normalised Hadamard, as a
     plain dqta with h = 2, k = l = 2: its isometry defect 5e-10 is within
@@ -864,7 +886,7 @@ def write_edge_cell(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("wiring", [[], ["--mirror"], ["--ring"]])
+@pytest.mark.parametrize("wiring", [[], ["--mirror"]])
 def test_chain_refuses_a_cell_that_is_only_an_isometry(
         tmp_path, capsys, monkeypatch, wiring):
     cell = hadamard_edge_cell()
@@ -909,10 +931,10 @@ def test_one_trust_rule_for_unitaries(site):
     assert isinstance(site(make_dqta(1, 2, 2, sum_swap(1, 1))), UnitaryDqta)
 
 
-def gather_chain(cell, n, mirror=False, ring=False):
+def gather_chain(cell, n, mirror=False):
     """Reference chain_cells: each merge gathers the internal pair of the
     tensored chain and cell into leading position in its own summand
-    orders, and a default ring swaps the halves of the outputs first."""
+    orders."""
     s = cell.k // 2
     in_order = [2, 1, 0, 3]
     out_order = [0, 3, 2, 1] if mirror else [1, 2, 0, 3]
@@ -923,43 +945,37 @@ def gather_chain(cell, n, mirror=False, ring=False):
         cols = summand_index(x.h, [s] * 4, in_order)
         routed = Operator(x.tau.mat[np.ix_(rows, cols)])
         chain = gather_feedback(Dqta(x.h, x.k, x.l, routed), 2 * s)
-    if ring:
-        if not mirror:
-            rows = summand_index(chain.h, [s, s], [1, 0])
-            chain = Dqta(chain.h, chain.k, chain.l,
-                         Operator(chain.tau.mat[rows]))
-        chain = gather_feedback(chain, 2 * s)
     return chain
 
 
 CHIRAL_RULE = [[["L", 1, 0], ["R", 1, 1]], [["R", 1, 1], ["L", 1, 0]]]
-WIRINGS = [(False, False), (True, False), (False, True), (True, True)]
+# ids as (mirror, ring) while chain had a ring, so the cases keep their names
+MIRRORS = pytest.mark.parametrize("mirror", [False, True],
+                                  ids=["False-False", "True-False"])
 
 
-@pytest.mark.parametrize("mirror, ring", WIRINGS)
+@MIRRORS
 @pytest.mark.parametrize("states, bits", [(2, 1), (2, 2), (1, 2)])
-def test_chain_equals_the_gathered_wiring_bit_for_bit(states, bits,
-                                                       mirror, ring):
+def test_chain_equals_the_gathered_wiring_bit_for_bit(states, bits, mirror):
     cell = build_cell(states, bits)
     for n in (1, 2, 3):
-        seg = chain_cells(cell, n, mirror=mirror, ring=ring)
-        ref = gather_chain(cell, n, mirror=mirror, ring=ring)
-        side = 0 if ring else cell.k
+        seg = chain_cells(cell, n, mirror=mirror)
+        ref = gather_chain(cell, n, mirror=mirror)
         assert type(seg) is UnitaryDqta
-        assert (seg.h, seg.k, seg.l) == (cell.h ** n, side, side)
+        assert (seg.h, seg.k, seg.l) == (cell.h ** n, cell.k, cell.k)
         assert np.array_equal(seg.tau.mat, ref.tau.mat)
 
 
-@pytest.mark.parametrize("mirror, ring", WIRINGS)
-def test_chain_matches_the_gathered_wiring_on_rule_cells(mirror, ring):
+@MIRRORS
+def test_chain_matches_the_gathered_wiring_on_rule_cells(mirror):
     # a Haar rule and the chiral rule leave loops the SVD must cut, where
     # the composite's loop block is the reference's with its halves swapped
     for cell in (build_cell(2, 1, random_isometry(8, 8, 7)),
                  build_cell(1, 1, random_isometry(4, 4, 8)),
                  build_cell(1, 1, CHIRAL_RULE)):
         for n in (1, 2, 3):
-            seg = chain_cells(cell, n, mirror=mirror, ring=ring)
-            ref = gather_chain(cell, n, mirror=mirror, ring=ring)
+            seg = chain_cells(cell, n, mirror=mirror)
+            ref = gather_chain(cell, n, mirror=mirror)
             assert op_distance(seg.tau, ref.tau) <= 1e-12
 
 
@@ -1298,6 +1314,47 @@ def test_writer_builds_dense_text_before_opening_the_file(tmp_path,
     assert not os.path.exists(tmp_path / "out.json")
 
 
+def test_segment_goes_to_the_file_in_few_writes(tmp_path, monkeypatch):
+    # the side-1024 segment's 12.6 MB of row pieces; through the default
+    # buffer each 6 KB zero-row slice was a write of its own, 2048 in all
+    writes = []
+
+    class CountingFile(io.RawIOBase):
+        def __init__(self, raw):
+            self.raw = raw
+
+        def writable(self):
+            return True
+
+        def write(self, b):
+            writes.append(len(b))
+            return self.raw.write(b)
+
+        def close(self):
+            self.raw.close()
+            super().close()
+
+    def counting_open(path, mode="r", buffering=-1):
+        if mode != "wb":
+            return open(path, mode, buffering)
+        raw = CountingFile(open(path, mode, buffering=0))
+        return io.BufferedWriter(raw, buffering)
+
+    cell = str(tmp_path / "cell.json")
+    assert run_command(["cell", "--states", "2", "--bits", "2",
+                        "-o", cell]) == 0
+    out = str(tmp_path / "seg.json")
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    assert run_command(["chain", cell, "--n", "4", "-o", out]) == 0
+    tau = chain_cells(build_cell(2, 2), 4).tau
+    text = (cli._head_text("dqta", 256, 4, 4) + b"".join(cli._matrix_text(tau))
+            + cli._tail_text(load_record(cell).labels))
+    with open(out, "rb") as fh:
+        assert fh.read() == text
+    assert sum(writes) == len(text) == 12_585_122
+    assert len(writes) <= 16
+
+
 def test_writer_rejects_what_no_command_sends(tmp_path):
     with pytest.raises(ValueError) as err:
         write_automaton(3, str(tmp_path / "out.json"))
@@ -1468,11 +1525,17 @@ def test_cell_and_chain_commands(tmp_path, capsys):
     assert (value.h, value.k, value.l) == (4, 4, 4)
     assert load_record(seg).labels == {
         "input": cell_labels(2), "output": cell_labels(2)}
-
-    ring = str(tmp_path / "ring.json")
-    assert run_command(["chain", cell, "--n", "2", "--ring", "-o", ring]) == 0
-    assert parse_automaton(ring).k == 0
     capsys.readouterr()
+
+
+def test_chain_has_no_ring_option(tmp_path, capsys):
+    out = str(tmp_path / "ring.json")
+    argv = ["chain", os.path.join(DATA_DIR, "cell_2s1b.json"), "--n", "2",
+            "--ring", "-o", out]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.endswith(
+        "qta: error: unrecognized arguments: --ring\n")
+    assert not os.path.exists(out)
 
 
 def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
@@ -1496,43 +1559,6 @@ def test_oversized_segment_is_refused_before_any_text(tmp_path, capsys):
                           "transition: reading it back needs 19200.0 GiB")
     assert not os.path.exists(out)
     assert peak < 2 ** 20
-
-
-@pytest.mark.parametrize("n", [16, 100_000])
-def test_oversized_ring_is_refused_before_its_segment_is_built(
-        tmp_path, capsys, n):
-    # a ring writes a 0x0 transition but closes a segment it builds first:
-    # side 4 * 4 ** 16 at RING_BYTES_PER_COLUMN needs 4.2 TiB; the refusal
-    # comes from the arguments
-    cell = str(tmp_path / "cell.json")
-    assert run_command(["cell", "--states", "2", "--bits", "2",
-                        "-o", cell]) == 0
-    capsys.readouterr()
-    out = str(tmp_path / "ring.json")
-    tracemalloc.start()
-    try:
-        code = run_command(["chain", cell, "--n", str(n), "--ring", "-o", out])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 1
-    side = "17179869184" if n == 16 else f"(4*4**{n})"
-    assert capsys.readouterr().err.startswith(
-        f"error: {out}: refusing to write the ring of a {side}x{side} "
-        "segment: building it needs")
-    assert not os.path.exists(out)
-    assert peak < 2 ** 20
-
-
-def test_ring_within_memory_is_still_written(tmp_path, capsys):
-    # side 4 * 4 ** 8 = 262144 at RING_BYTES_PER_COLUMN needs 68 MiB
-    cell = str(tmp_path / "cell.json")
-    assert run_command(["cell", "--states", "2", "--bits", "2",
-                        "-o", cell]) == 0
-    out = str(tmp_path / "ring.json")
-    assert run_command(["chain", cell, "--n", "8", "--ring", "-o", out]) == 0
-    assert parse_automaton(out).h == 4 ** 8
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("n", [100_000, 10_000_000])
@@ -1587,7 +1613,6 @@ def test_segment_refusal_in_a_fresh_interpreter_stays_small(tmp_path, capsys):
     (["tensor", "cell_2s1b.json", "cell_2s1b.json"], "turing_tensor"),
     (["bidir", "cell_2s1b.json", "--route", "functor"], "bidirectionalize"),
     (["chain", "cell_2s1b.json", "--n", "2"], "chain_cells"),
-    (["chain", "cell_2s1b.json", "--n", "2", "--ring"], "chain_cells"),
 ])
 def test_oversized_result_is_refused_before_it_is_computed(
         tmp_path, capsys, monkeypatch, argv, builder):
