@@ -18,8 +18,10 @@ arguments, before any algebra runs.
 
 The writer streams the text of a carried form (see linalg) row by row,
 each a zero row with at most one entry replaced, through a buffer of
-WRITE_BUFFER bytes.  The loader reads the file's bytes and reads exactly
-that text, or a CRLF copy of it, back in place as the form
+WRITE_BUFFER bytes.  It writes a regular file in place, over any old
+one, and cuts it to length before it writes the opening "{"; a device
+or pipe is a plain stream.  The loader reads the file's bytes and reads
+exactly that text, or a CRLF copy of it, back in place as the form
 (_read_carried), with no decoding, no dense matrix and no number per
 entry.  Only any other file is decoded, as open(path).read() decodes it,
 parsed whole as nested lists and checked entry by entry, which raises
@@ -54,6 +56,7 @@ import json
 import math
 import numbers
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -385,10 +388,11 @@ def _read_dqta(command, *paths):
 # by tracemalloc on dense Haar files of side 256 and 512, with 25% to spare.
 READ_BACK_BYTES_PER_ENTRY = 300
 
-# write_automaton's buffer: on 2 cores, the side-1024 segment's 12.6 MB of
-# row pieces took 25.4 / 21.3 / 18.2 / 16.9 / 17.5 ms (medians of 25) in
-# 2048 / 205 / 49 / 13 / 4 writes to the file at 8 KiB (the default) /
-# 64 KiB / 256 KiB / 1 MiB / 4 MiB, with no copy of the whole text.
+# write_automaton's buffer: on 2 cores, rewriting the side-1024 segment's
+# 12.6 MB in place took 5.3-16.1 / 3.7-6.1 / 3.6-5.3 / 3.8-6.0 / 4.2-6.6 ms
+# (medians of 30-40, six runs) in 2048 / 205 / 49 / 13 / 4 writes at 8 KiB
+# (the default) / 64 KiB / 256 KiB / 1 MiB / 4 MiB, with no copy of the
+# whole text.  256 KiB and 1 MiB are level; 1 MiB makes the fewest writes.
 WRITE_BUFFER = 2 ** 20
 
 
@@ -440,12 +444,21 @@ def write_automaton(value, path, labels=None):
     check_defect(defect, f"{path}: refusing to write a transition the "
                  "loader would reject")
     _refuse_oversized(value.tau.rows, value.tau.cols, path)
-    # a dense matrix's text is built before the file is opened
+    # a dense matrix's text is built before the file is opened.  A regular
+    # file is written over in place and then cut to length: truncating it
+    # first took longer than writing.  Its "{" goes in last, so that an
+    # unfinished rewrite, new text before an old tail, never loads.
     matrix = _matrix_text(value.tau)
-    with open(path, "wb", buffering=WRITE_BUFFER) as fh:
-        fh.write(_head_text(kind, value.h, value.k, value.l))
+    head = _head_text(kind, value.h, value.k, value.l)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb", buffering=WRITE_BUFFER) as fh:
+        in_place = stat.S_ISREG(os.fstat(fd).st_mode)
+        fh.write(b"\0" + head[1:] if in_place else head)
         fh.writelines(matrix)
         fh.write(_tail_text(labels))
+        if in_place:
+            fh.truncate()
+            os.pwrite(fd, b"{", 0)
 
 
 # ------------------------------------------------------------- cell builders

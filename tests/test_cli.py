@@ -1330,6 +1330,10 @@ def test_segment_goes_to_the_file_in_few_writes(tmp_path, monkeypatch):
             writes.append(len(b))
             return self.raw.write(b)
 
+        # the one raw call, other than writes, of a rewrite in place
+        def truncate(self, size=None):
+            return self.raw.truncate(size)
+
         def close(self):
             self.raw.close()
             super().close()
@@ -1345,14 +1349,88 @@ def test_segment_goes_to_the_file_in_few_writes(tmp_path, monkeypatch):
                         "-o", cell]) == 0
     out = str(tmp_path / "seg.json")
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
-    assert run_command(["chain", cell, "--n", "4", "-o", out]) == 0
     tau = chain_cells(build_cell(2, 2), 4).tau
     text = (cli._head_text("dqta", 256, 4, 4) + b"".join(cli._matrix_text(tau))
             + cli._tail_text(load_record(cell).labels))
+    # a new file, then a rewrite of it in place
+    for _ in range(2):
+        writes.clear()
+        assert run_command(["chain", cell, "--n", "4", "-o", out]) == 0
+        with open(out, "rb") as fh:
+            assert fh.read() == text
+        assert sum(writes) == len(text) == 12_585_122
+        assert len(writes) <= 16
+
+
+def _segment_bytes(cell, n, out):
+    assert run_command(["chain", cell, "--n", str(n), "-o", out]) == 0
     with open(out, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("before", [4, 2, 3], ids=["longer", "shorter", "same"])
+def test_a_rewrite_equals_a_fresh_write(tmp_path, before):
+    cell = str(tmp_path / "cell.json")
+    assert run_command(["cell", "--states", "2", "--bits", "2",
+                        "-o", cell]) == 0
+    fresh = _segment_bytes(cell, 3, str(tmp_path / "fresh.json"))
+    out = str(tmp_path / "seg.json")
+    old = _segment_bytes(cell, before, out)
+    assert (len(old) > len(fresh), old == fresh) == (before > 3, before == 3)
+    assert _segment_bytes(cell, 3, out) == fresh
+
+
+def test_a_rewrite_keeps_the_file_its_mode_and_its_links(tmp_path):
+    cell = str(tmp_path / "cell.json")
+    assert run_command(["cell", "--states", "2", "--bits", "2",
+                        "-o", cell]) == 0
+    out, link = str(tmp_path / "seg.json"), str(tmp_path / "link.json")
+    _segment_bytes(cell, 4, out)
+    os.chmod(out, 0o640)
+    os.link(out, link)
+    inode = os.stat(out).st_ino
+    text = _segment_bytes(cell, 2, out)
+    assert os.stat(out).st_ino == inode
+    assert os.stat(out).st_mode & 0o777 == 0o640
+    with open(link, "rb") as fh:
         assert fh.read() == text
-    assert sum(writes) == len(text) == 12_585_122
-    assert len(writes) <= 16
+
+
+def test_a_new_file_gets_the_mode_open_gives(tmp_path):
+    mask = os.umask(0o027)
+    try:
+        write_automaton(build_cell(1, 1), str(tmp_path / "new.json"))
+        with open(tmp_path / "opened.json", "wb"):
+            pass
+    finally:
+        os.umask(mask)
+    mode = os.stat(tmp_path / "new.json").st_mode & 0o777
+    assert mode == os.stat(tmp_path / "opened.json").st_mode & 0o777 == 0o640
+
+
+def test_an_unfinished_rewrite_is_refused(tmp_path, monkeypatch):
+    # over an equal file, new text before the old tail is the whole file
+    value = chain_cells(build_cell(2, 2), 3)
+    out = str(tmp_path / "seg.json")
+    write_automaton(value, out)
+    carried_text = cli._carried_text
+
+    def unfinished(op):
+        pieces = list(carried_text(op))
+        yield from pieces[:len(pieces) // 2]
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(cli, "_carried_text", unfinished)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_automaton(value, out)
+    with pytest.raises(ValueError):
+        load_record(out)
+
+
+def test_a_device_is_written_as_a_stream(capsys):
+    assert run_command(["cell", "--states", "1", "--bits", "1",
+                        "-o", os.devnull]) == 0
+    assert capsys.readouterr().out == f"wrote {os.devnull}: dqta h=2 k=2 l=2\n"
 
 
 def test_writer_rejects_what_no_command_sends(tmp_path):
