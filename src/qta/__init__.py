@@ -61,7 +61,6 @@ from .intcat import (
     int_units,
     make_qta,
     name_of,
-    unname,
 )
 from .axioms import (
     EXPECTED_FAIL,

@@ -58,7 +58,6 @@ from .linalg import (
     dsum,
     identity,
     kron,
-    mp_inverse,
     op_distance,
     owned,
     random_isometry,
@@ -67,6 +66,7 @@ from .linalg import (
 )
 from .trace import (
     BlockMap,
+    closed_form,
     kernel_image_trace,
     kleene_feedback,
     schur_feedback,
@@ -608,8 +608,10 @@ def _run_law(law, cfg, eval_one, seeds):
 # ------------------------------------------------------------- the star laws
 
 def _star(c) -> complex:
-    """c* = (1 - c)^+ by mp_inverse, a Python complex so `passed` is a JSON bool."""
-    return complex(mp_inverse(owned(np.full((1, 1), 1 - c, dtype=complex))).mat[0, 0])
+    """c* = (1 - c)^+, the feedback D + B (I - A)^+ C of [[c, 1], [1, 0]], as
+    a Python complex so `passed` is a JSON bool."""
+    loop = owned(np.array([[c, 1], [1, 0]], dtype=complex))
+    return complex(closed_form(loop, 1, 1).mat[0, 0])
 
 
 def conway_counterexample(cfg: CheckConfig = CheckConfig()) -> LawReport:

@@ -79,7 +79,8 @@ from .dqta import (
     make_unitary_dqta,
     turing_tensor,
 )
-from .intcat import Int0Morphism, Qta, as_int0, bidirectionalize, int_compose
+from .intcat import (Int0Morphism, Qta, as_int0, bidirectionalize,
+                     int_compose, name_of)
 from . import linalg
 from .linalg import (
     Operator,
@@ -475,10 +476,10 @@ def _config_index(states, h, entry, what):
     if direction not in DIRECTIONS:
         raise ValueError(f"rule {what} direction must be 'L' or 'R', "
                          f"got {direction!r}")
-    if not isinstance(state, int) or not 1 <= state <= states:
+    if type(state) is not int or not 1 <= state <= states:
         raise ValueError(f"rule {what} state must be in 1..{states}, "
                          f"got {state!r}")
-    if not isinstance(symbol, int) or not 0 <= symbol < h:
+    if type(symbol) is not int or not 0 <= symbol < h:
         raise ValueError(f"rule {what} symbol must be in 0..{h - 1}, "
                          f"got {symbol!r}")
     iface = DIRECTIONS.index(direction) * states + (state - 1)
@@ -540,9 +541,9 @@ def chain_cells(cell, n, mirror=False) -> UnitaryDqta:
     cell = as_unitary(cell)
     step = Int0Morphism(cell.h, s, s, cell.tau) if mirror else as_int0(cell, s)
     seg = functools.reduce(int_compose, [step] * n)
-    # back in the cell's layout, as a plain automaton: read as a morphism,
-    # a default segment would be wired wrong by int_compose
-    seg = seg if mirror else as_int0(seg, s)
+    # back in the cell's layout by its name (outputs [left, right]), as a
+    # plain automaton: read as a morphism, int_compose would wire it wrong
+    seg = seg if mirror else name_of(seg)
     return UnitaryDqta(seg.h, seg.k, seg.l, seg.tau)
 
 

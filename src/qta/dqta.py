@@ -26,15 +26,15 @@ state-space witness (witnessed_distance); no isomorphism search happens
 anywhere.
 
 Validation policy: an operator is checked where it enters or leaves the
-library, always by the one gate linalg.check_defect -- in make_dqta,
-make_unitary_dqta and intcat.make_qta, in the three trace entry points,
-on file load and before a file is written.  Wherever a unitary is needed
-one trust rule, as_unitary, holds: a UnitaryDqta is trusted, and a plain
-square Dqta is checked as a unitary by make_unitary_dqta.  Feedback sends
-isometries to isometries and every other operation only routes or
-multiplies them, so operations here and in intcat build their results
-unchecked (linalg.owned), returning a UnitaryDqta when every operand is
-one.
+library, always by the one gate linalg.check_defect -- in make_dqta and
+make_unitary_dqta (intcat.make_qta calls it), in the three trace entry
+points, on file load and before a file is written.  Wherever a unitary
+is needed one trust rule, as_unitary, holds: a UnitaryDqta is trusted,
+and a plain square Dqta is checked as a unitary by make_unitary_dqta.
+Feedback sends isometries to isometries and every other operation only
+routes or multiplies them, so operations here and in intcat build their
+results unchecked (linalg.owned), returning a UnitaryDqta when every
+operand is one.
 """
 
 from dataclasses import dataclass

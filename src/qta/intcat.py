@@ -12,10 +12,10 @@ Objects are self-dual, with unit and counit both the interface swap.
 A Qta, the undirected automaton, is the same UnitaryDqta read
 undirected: one interface N of rank n = k = l, with no input or output
 side of its own.  name_of flattens a morphism into a Qta on the combined
-rank K (+) L, and unname inverts it exactly; as_int0 views any square
-automaton whose interfaces split as [forward, backward] on both sides as
-a morphism.  bidirectionalize sends a directed automaton t to the name
-of the forward/backward pair t (+) dagger(t).
+rank K (+) L, and as_int0 inverts it exactly: it views any square
+automaton whose interfaces split as [forward, backward] on both sides,
+a name among them, as a morphism.  bidirectionalize sends a directed
+automaton t to the name of the forward/backward pair t (+) dagger(t).
 
 Every operation reduces to dqta-module algebra and the loop closer
 trace.closed_form, plus routing by index maps: summands are relabelled
@@ -30,19 +30,18 @@ from dataclasses import dataclass
 from .linalg import (
     Operator,
     ShapeError,
-    check_defect,
     dsum,
     gather,
     identity,
     sum_swap,
     summand_index,
-    unitary_defect,
 )
 from .dqta import (
     Dqta,
     UnitaryDqta,
     as_unitary,
     dagger_dqta,
+    make_unitary_dqta,
     turing_tensor,
 )
 from .trace import closed_form
@@ -61,10 +60,8 @@ class Qta(UnitaryDqta):
 
 
 def make_qta(h: int, n: int, tau: Operator) -> Qta:
-    """Validated construction; rejects non-unitary transitions."""
-    q = Qta(h, n, tau)
-    check_defect(unitary_defect(tau), "transition must be unitary")
-    return q
+    """Validated construction: make_unitary_dqta's, read undirected."""
+    return Qta(h, n, make_unitary_dqta(h, n, tau).tau)
 
 
 @dataclass(frozen=True, init=False)
@@ -174,13 +171,6 @@ def name_of(f: Int0Morphism) -> Qta:
     square operator on K (+) L.
     """
     return Qta(f.h, f.k, _reorder(f, [f.k], [0], [f.dst, f.src], [1, 0]))
-
-
-def unname(q: Qta, src: int, dst: int) -> Int0Morphism:
-    """Exact inverse of name_of for the given rank split."""
-    if src < 0 or dst < 0 or src + dst != q.n:
-        raise ShapeError(f"rank split {src} + {dst} != {q.n}")
-    return as_int0(q, src)
 
 
 def as_int0(t: Dqta, src: int) -> Int0Morphism:

@@ -20,8 +20,9 @@ from qta.axioms import (
     suite_passed,
 )
 from qta.dqta import Dqta, witnessed_distance
-from qta.linalg import (Operator, gather, monomial, op_distance, owned,
-                        random_isometry, sum_swap, summand_index, tensor_swap)
+from qta.linalg import (Operator, gather, monomial, mp_inverse, op_distance,
+                        owned, random_isometry, sum_swap, summand_index,
+                        tensor_swap)
 from qta.trace import (BlockMap, ConvergenceReport, _blocks, kleene_feedback,
                        schur_feedback)
 from test_linalg import random_monomial
@@ -227,6 +228,22 @@ def test_counterexample_is_judged_at_the_configured_tolerance():
     [report] = run_checks(CheckConfig(tolerance=2.0,
                                       law_set=("conway-counterexample",)))
     assert report.passed and report.max_violation == 1.0
+
+
+def star_by_pseudoinverse(c):
+    """c* = (1 - c)^+ straight from mp_inverse."""
+    return complex(mp_inverse(owned(np.full((1, 1), 1 - c, dtype=complex))).mat[0, 0])
+
+
+@pytest.mark.parametrize("c", [2, 1, 0.7, 0.5, 0, 0.25 + 0.5j])
+def test_star_is_the_feedback_of_its_loop(c):
+    # exactly equal, c = 1 (an exactly zero loop) included; a zero
+    # imaginary part may differ in sign only, -0.0 against 0.0, which
+    # complex equality takes as one value
+    got, want = axioms._star(c), star_by_pseudoinverse(c)
+    assert type(got) is complex
+    assert got == want
+    assert got.real.hex() == want.real.hex()
 
 
 def test_star_identities_hold_away_from_the_pole():

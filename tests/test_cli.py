@@ -816,6 +816,15 @@ def test_rule_fields_are_validated():
         build_cell(2, 1, [[["L", 3, 0], ["R", 1, 0]]])
     with pytest.raises(ValueError, match="symbol"):
         build_cell(2, 1, [[["L", 1, 5], ["R", 1, 0]]])
+    # a JSON boolean is no state or symbol, though Python counts True as 1
+    with pytest.raises(ValueError, match="source state must be in 1..2, got True"):
+        build_cell(2, 1, [[["L", True, 0], ["R", 1, 0]]])
+    with pytest.raises(ValueError, match="source symbol must be in 0..1, got False"):
+        build_cell(2, 1, [[["L", 1, False], ["R", 1, 0]]])
+    with pytest.raises(ValueError, match="target state must be in 1..2, got True"):
+        build_cell(2, 1, [[["L", 1, 0], ["R", True, 0]]])
+    with pytest.raises(ValueError, match="target symbol must be in 0..1, got True"):
+        build_cell(2, 1, [[["L", 1, 0], ["R", 1, True]]])
 
 
 def test_explicit_matrix_rule():
@@ -1260,6 +1269,15 @@ _CELL = ["cell", "--states", "1", "--bits", "0", "-o", "{t}/out.json"]
     ('{"kind": "dqta", "h": 1, "k": 1, "l": 1, "matrix": [[["é", 0]]]}',
      ["validate", "{t}/f.json"],
      "{t}/f.json: matrix entry (0,0) must be a [re, im] pair"),
+    # a JSON boolean is no state or symbol of a rule table
+    ('[[["L", true, 0], ["R", 1, 0]]]', _CELL + ["--rule", "{t}/f.json"],
+     "rule source state must be in 1..1, got True"),
+    ('[[["L", 1, false], ["R", 1, 0]]]', _CELL + ["--rule", "{t}/f.json"],
+     "rule source symbol must be in 0..0, got False"),
+    ('[[["L", 1, 0], ["R", true, 0]]]', _CELL + ["--rule", "{t}/f.json"],
+     "rule target state must be in 1..1, got True"),
+    ('[[["L", 1, 0], ["R", 1, false]]]', _CELL + ["--rule", "{t}/f.json"],
+     "rule target symbol must be in 0..0, got False"),
 ])
 def test_command_errors_exit_1_with_their_message(tmp_path, capsys, text,
                                                   argv, message):

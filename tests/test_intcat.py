@@ -41,7 +41,6 @@ from qta.intcat import (
     int_units,
     make_qta,
     name_of,
-    unname,
 )
 
 from test_linalg import random_monomial
@@ -101,7 +100,7 @@ CONSTRUCTORS = {
     "counit": (lambda: int_units(2)[1], (4, 0)),
     "canonical_trace": (lambda: canonical_trace(rand_int0(2, 2, 1, seed=28), 1),
                         (1, 1)),
-    "unname": (lambda: unname(make_qta(2, 3, random_isometry(6, 6, 29)), 1, 2),
+    "unname": (lambda: as_int0(make_qta(2, 3, random_isometry(6, 6, 29)), 1),
                (1, 2)),
     "as_int0": (lambda: as_int0(rand_unitary(2, 3, seed=30), 2), (2, 1)),
     "functor_image": (lambda: functor_image(rand_unitary(2, 2, seed=31)), (2, 2)),
@@ -294,11 +293,12 @@ def test_name_of_identity():
 
 
 def test_unname_inverts_name():
+    # as_int0 reads a name back as the morphism it names
     f = rand_int0(2, 1, 2, seed=17)
-    back = unname(name_of(f), f.src, f.dst)
+    back = as_int0(name_of(f), f.src)
     assert same_morphism(back, f, tol=0.0)
     with pytest.raises(ShapeError):
-        unname(name_of(f), 2, 2)
+        as_int0(name_of(f), 4)
 
 
 def test_dqta_operations_take_a_qta_as_its_directed_reading():
@@ -318,9 +318,9 @@ def test_dqta_operations_take_a_qta_as_its_directed_reading():
     make_qta(2, 3, random_isometry(6, 6, 23)),
 ], ids=["carried", "identity name", "haar"])
 def test_unname_gives_the_rewrapped_carrier_bit_for_bit(q):
-    # unname of q is as_int0 of its transition rewrapped as a plain UnitaryDqta
+    # as_int0 of q is as_int0 of its transition rewrapped as a plain UnitaryDqta
     for src in range(q.n + 1):
-        got = unname(q, src, q.n - src).tau
+        got = as_int0(q, src).tau
         want = as_int0(UnitaryDqta(q.h, q.n, q.n, q.tau), src).tau
         assert (got.form is None) == (want.form is None)
         if want.form is None:

@@ -28,7 +28,7 @@ PUBLIC = SUBMODULES | {
     "random_isometry", "run_checks", "run_command",
     "schur_feedback", "serialize_reports", "simulate", "suite_passed",
     "sum_swap", "summand_index", "tensor_swap", "turing_tensor",
-    "unit_automata", "unitary_defect", "unname", "witnessed_distance",
+    "unit_automata", "unitary_defect", "witnessed_distance",
     "write_automaton", "zeros",
 }
 
