@@ -5,7 +5,7 @@ them from LAWS, in its order, with the unsampled counterexample last:
 
   trace-axioms          naturality, sliding, vanishing (and a forced-kernel
                         variant), superposing, yanking, for operators under
-                        schur_feedback and for automata under feedback_dqta.
+                        closed_form and for automata under feedback_dqta.
   kleene-equivalence    partial sums run to machine precision equal the
                         closed form when the loop spectral radius stays
                         below 1 - 1e-3 (instances are resampled into
@@ -69,14 +69,13 @@ from .trace import (
     closed_form,
     kernel_image_trace,
     kleene_feedback,
-    schur_feedback,
 )
 from .dqta import (
+    Dqta,
+    UnitaryDqta,
     cascade,
     dagger_dqta,
     feedback_dqta,
-    make_dqta,
-    make_unitary_dqta,
     turing_tensor,
     unit_automata,
     witnessed_distance,
@@ -104,7 +103,7 @@ _Traced = namedtuple("_Traced", "seq par unit swap tr dag dist")
 _OPERATORS = _Traced(
     seq=lambda f, g: owned(g.mat @ f.mat), par=lambda f, g: dsum(f, g),
     unit=identity, swap=sum_swap, dag=lambda f: adjoint(f), dist=op_distance,
-    tr=lambda f, u: schur_feedback(BlockMap(f, u, f.cols - u, f.rows - u)))
+    tr=lambda f, u: closed_form(f, 1, u))
 _AUTOMATA = _Traced(
     seq=lambda f, g: cascade(f, g), par=lambda f, g: turing_tensor(f, g),
     unit=lambda n: unit_automata(n, n)[0],
@@ -200,11 +199,11 @@ def _vanishing_kernel(cfg, rng, idx):
     op[u:2 * u, :u] = sig.mat.conj().T
     op[2 * u:, 2 * u:] = d_op.mat
     f = owned(op)
-    inner = schur_feedback(BlockMap(f, u, u + a, u + b))
+    inner = closed_form(f, 1, u)
     assert np.array_equal(inner.mat[:u, :u], np.eye(u)), \
         "generator failed to plant a kernel"
-    nested = schur_feedback(BlockMap(inner, u, a, b))
-    joint = schur_feedback(BlockMap(f, 2 * u, a, b))
+    nested = closed_form(inner, 1, u)
+    joint = closed_form(f, 1, 2 * u)
     return max(op_distance(nested, joint), op_distance(nested, d_op),
                op_distance(joint, d_op))
 
@@ -227,7 +226,7 @@ def _yanking(cfg, rng, idx):
 # --------------------------------------------------- automaton-level axioms
 
 def _rand_auto(rng, h, k, l):
-    return make_dqta(h, k, l, random_isometry(h * l, h * k, rng))
+    return Dqta(h, k, l, random_isometry(h * l, h * k, rng))
 
 
 def _auto_dims(rng, cap):
@@ -260,7 +259,7 @@ def _dqt_sliding(cfg, rng, idx):
     cap = min(3, cfg.max_dim)
     u, kp, lp = _auto_dims(rng, cap)
     f = _rand_auto(rng, int(rng.integers(1, cap + 1)), u + kp, u + lp)
-    s = make_unitary_dqta(1, u, random_isometry(u, u, rng))
+    s = UnitaryDqta(1, u, u, random_isometry(u, u, rng))
     return _axiom_sliding(_AUTOMATA, f, s, u, kp, lp)
 
 
@@ -319,7 +318,7 @@ def _kleene(cfg, rng, idx):
     out, report = kleene_feedback(m)
     if not report.converged:
         return 1.0 + report.residual
-    return op_distance(out, schur_feedback(m))
+    return op_distance(out, closed_form(m.op, 1, m.u))
 
 
 def _kit(cfg, rng, idx):
@@ -341,7 +340,7 @@ def _kit(cfg, rng, idx):
         l = k + int(rng.integers(0, 3))
         m = BlockMap(random_isometry(u + l, u + k, rng), u, k, l)
     out, residual = kernel_image_trace(m)
-    return max(op_distance(out, schur_feedback(m)), residual)
+    return max(op_distance(out, closed_form(m.op, 1, m.u)), residual)
 
 
 def _tensor_compat(cfg, rng, idx):
@@ -349,12 +348,9 @@ def _tensor_compat(cfg, rng, idx):
     k = int(rng.integers(1, 4))
     l = k + int(rng.integers(0, 2))
     m_dim = 1 if idx == 0 else int(rng.integers(1, 4))
-    bm = BlockMap(random_isometry(u + l, u + k, rng), u, k, l)
-    lhs = kron(schur_feedback(bm), identity(m_dim))
-    widened = BlockMap(kron(bm.op, identity(m_dim)),
-                       u * m_dim, k * m_dim, l * m_dim)
-    rhs = schur_feedback(widened)
-    return op_distance(lhs, rhs)
+    f = random_isometry(u + l, u + k, rng)
+    lhs = kron(closed_form(f, 1, u), identity(m_dim))
+    return op_distance(lhs, closed_form(kron(f, identity(m_dim)), 1, u * m_dim))
 
 
 def _dagger_operators(cfg, rng, idx):
@@ -368,7 +364,7 @@ def _dagger_automata(cfg, rng, idx):
     h = int(rng.integers(1, cap + 1))
     k = int(rng.integers(2, cap + 1))
     u = int(rng.integers(1, k))
-    t = make_unitary_dqta(h, k, random_isometry(h * k, h * k, rng))
+    t = UnitaryDqta(h, k, k, random_isometry(h * k, h * k, rng))
     return _axiom_dagger(_AUTOMATA, t, u)
 
 
@@ -376,8 +372,7 @@ def _dagger_automata(cfg, rng, idx):
 
 def _rand_int0(rng, k, l, h):
     n = h * (k + l)
-    t = make_unitary_dqta(h, k + l, random_isometry(n, n, rng))
-    return Int0Morphism(h, k, l, t.tau)
+    return Int0Morphism(h, k, l, random_isometry(n, n, rng))
 
 
 def _int0_units(cfg, rng, idx):
@@ -488,8 +483,8 @@ def _functor_composition(cfg, rng, idx):
     h1 = int(rng.integers(1, 3))
     h2 = int(rng.integers(1, 3))
     k = int(rng.integers(1, 3))
-    t1 = make_unitary_dqta(h1, k, random_isometry(h1 * k, h1 * k, rng))
-    t2 = make_unitary_dqta(h2, k, random_isometry(h2 * k, h2 * k, rng))
+    t1 = UnitaryDqta(h1, k, k, random_isometry(h1 * k, h1 * k, rng))
+    t2 = UnitaryDqta(h2, k, k, random_isometry(h2 * k, h2 * k, rng))
     lhs = functor_image(cascade(t1, t2))
     rhs = int_compose(functor_image(t1), functor_image(t2))
     sigma = kron(kron(identity(h1), tensor_swap(h2, h1)), identity(h2))
@@ -499,7 +494,7 @@ def _functor_composition(cfg, rng, idx):
 def _functor_dagger(cfg, rng, idx):
     h = int(rng.integers(1, 3))
     k = int(rng.integers(1, 4))
-    t = make_unitary_dqta(h, k, random_isometry(h * k, h * k, rng))
+    t = UnitaryDqta(h, k, k, random_isometry(h * k, h * k, rng))
     lhs = functor_image(dagger_dqta(t))
     rhs = int_dagger(functor_image(t))
     return witnessed_distance(lhs, rhs, tensor_swap(h, h))
@@ -509,7 +504,7 @@ def _functor_feedback(cfg, rng, idx):
     h = int(rng.integers(1, 3))
     k = int(rng.integers(2, 4))
     u = int(rng.integers(1, k))
-    t = make_unitary_dqta(h, k, random_isometry(h * k, h * k, rng))
+    t = UnitaryDqta(h, k, k, random_isometry(h * k, h * k, rng))
     lhs = functor_image(feedback_dqta(t, u))
     rhs = canonical_trace(functor_image(t), u)
     return _AUTOMATA.dist(lhs, rhs)

@@ -737,11 +737,15 @@ def _load_rule(path):
 
 
 def _cmd_cell(args):
-    if args.states > 0 and args.bits >= 0:
+    valid = args.states > 0 and args.bits >= 0
+    if valid:
         # refused from the arguments, before the cell's index map is built
         _refuse_oversized_side(2 * args.states, 2, args.bits, args.output)
     rule = _load_rule(args.rule) if args.rule else None
-    cell = build_cell(args.states, args.bits, rule)
+    build = functools.partial(build_cell, args.states, args.bits)
+    # with valid arguments, a matrix rule that does not fit is the file's fault
+    by_file = valid and isinstance(rule, Operator)
+    cell = _operator(build, rule, args.rule) if by_file else build(rule)
     labels = {"input": cell_labels(args.states),
               "output": cell_labels(args.states)}
     return _write(cell, args.output, labels)

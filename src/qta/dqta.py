@@ -34,7 +34,7 @@ and a plain square Dqta is checked as a unitary by make_unitary_dqta.
 Feedback sends isometries to isometries and every other operation only
 routes or multiplies them, so operations here and in intcat build their
 results unchecked (linalg.owned), returning a UnitaryDqta when every
-operand is one.
+operand is one.  The law suite (axioms) builds its draws unchecked too.
 """
 
 from dataclasses import dataclass

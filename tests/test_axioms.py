@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qta import axioms
+from qta import axioms, dqta, trace
 from qta.axioms import (
     EXPECTED_FAIL,
     LAW_GROUPS,
@@ -330,6 +330,20 @@ def test_full_suite_passes_quickly():
     assert len(reports) == 35
     genuine = [r for r in reports if r.law not in EXPECTED_FAIL]
     assert max(r.max_violation for r in genuine) <= 1e-8
+
+
+def test_the_gate_free_groups_call_no_gate(monkeypatch):
+    # the suite builds its draws and closes its loops unchecked, as every
+    # operation does: only kleene_feedback and kernel_image_trace, the API
+    # that kleene- and kit-equivalence compare, run the gate
+    def gate(defect, what):
+        raise AssertionError(f"gate called: {what}")
+
+    for module in (dqta, trace):
+        monkeypatch.setattr(module, "check_defect", gate)
+    groups = ("trace-axioms", "tensor-compat", "dagger", "int0-laws",
+              "functor-F", "conway-counterexample")
+    assert suite_passed(run_checks(CheckConfig(instances=20, law_set=groups)))
 
 
 # ------------------------------------------- the shared axioms, carried

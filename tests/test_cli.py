@@ -1278,6 +1278,18 @@ _CELL = ["cell", "--states", "1", "--bits", "0", "-o", "{t}/out.json"]
      "rule target state must be in 1..1, got True"),
     ('[[["L", 1, 0], ["R", 1, false]]]', _CELL + ["--rule", "{t}/f.json"],
      "rule target symbol must be in 0..0, got False"),
+    # a matrix rule that does not fit the cell names its file
+    ('{"matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], '
+     '[[0, 0], [0, 0], [1, 0]]]}', _CELL + ["--rule", "{t}/f.json"],
+     "{t}/f.json: transition is 3x3, expected 2x2"),
+    ('{"matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}',
+     _CELL + ["--rule", "{t}/f.json"],
+     "{t}/f.json: transition must be unitary (defect 1.000e+00)"),
+    # but an argument error stays the argument's
+    ('{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+     ["cell", "--states", "0", "--bits", "0", "--rule", "{t}/f.json",
+      "-o", "{t}/out.json"],
+     "states must be positive, got 0"),
 ])
 def test_command_errors_exit_1_with_their_message(tmp_path, capsys, text,
                                                   argv, message):
