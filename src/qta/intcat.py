@@ -5,9 +5,11 @@ n = k + l, read with input K (+) L and output L (+) K: the K summand
 flows forward while the L summand travels backward.  Int0Morphism adds
 only the split, src = k, so every dqta operation takes a morphism as the
 automaton it is.  Composition wires the middle object's forward and
-return copies into a loop and eliminates it with the loop closer; the
-dagger just renames interfaces, so it is involutive on the nose.
-Objects are self-dual, with unit and counit both the interface swap.
+return copies into a loop.  The return copy's loop block is exactly 0,
+so by the vanishing axiom it closes by substitution, and the loop closer
+eliminates the forward copy alone (carried operands follow paths through
+both).  The dagger just renames interfaces, so it is involutive on the
+nose.  Objects are self-dual, with unit and counit both the interface swap.
 
 A Qta, the undirected automaton, is the same UnitaryDqta read
 undirected: one interface N of rank n = k = l, with no input or output
@@ -17,15 +19,18 @@ automaton whose interfaces split as [forward, backward] on both sides,
 a name among them, as a morphism.  bidirectionalize sends a directed
 automaton t to the name of the forward/backward pair t (+) dagger(t).
 
-Every operation reduces to dqta-module algebra and the loop closer
-trace.closed_form, plus routing by index maps: summands are relabelled
-by gathering the transition's rows and columns through
-linalg.summand_index, never by multiplying with a permutation matrix; on
-a carried monomial form the gather composes the index with the target
-map.  No isomorphism search, no symbolic structure.
+Every operation reduces to dqta-module algebra, contractions of the
+(h, ., h, .) views of transitions and the loop closer trace.closed_form,
+plus routing by index maps: summands are relabelled by gathering the
+transition's rows and columns through linalg.summand_index, never by
+multiplying with a permutation matrix; on a carried monomial form the
+gather composes the index with the target map.  No isomorphism search,
+no symbolic structure.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .linalg import (
     Operator,
@@ -33,6 +38,7 @@ from .linalg import (
     dsum,
     gather,
     identity,
+    owned,
     sum_swap,
     summand_index,
 )
@@ -102,19 +108,38 @@ def int_symmetry(k: int, l: int) -> Int0Morphism:
 def int_compose(f: Int0Morphism, g: Int0Morphism) -> Int0Morphism:
     """Loop composition: f's forward middle copy feeds g, g's return feeds f.
 
-    Both middle copies are routed to the leading interface position of
-    f (+) g and closed, as feedback_dqta closes them, by one
-    trace.closed_form over H (x) 2 * middle.
+    The return copy closes by substitution (module docstring), leaving one
+    trace.closed_form over H (x) middle, on a W built from f's and g's
+    blocks.  Two carried operands keep path following over both copies.
     """
     if f.dst != g.src:
         raise ShapeError(f"middle rank mismatch: {f.dst} != {g.src}")
     k, l, m = f.src, f.dst, g.dst
-    x = turing_tensor(f, g)
-    # loop copies first: x input summands [K, Lret_f, Lin_g, Mret] become
-    # [Lret_f, Lin_g, K, Mret], output [Lfwd_f, Kret, Mfwd, Lret_g] becomes
-    # [Lret_g, Lfwd_f, Mfwd, Kret]
-    routed = _reorder(x, [k, l, l, m], [1, 2, 0, 3], [l, k, m, l], [3, 0, 2, 1])
-    return Int0Morphism(x.h, k, m, closed_form(routed, x.h, 2 * l))
+    if f.tau.form is not None and g.tau.form is not None:
+        x = turing_tensor(f, g)
+        # loop copies first: in [K, Lret_f, Lin_g, Mret] -> [Lret_f, Lin_g, K, Mret],
+        # out [Lfwd_f, Kret, Mfwd, Lret_g] -> [Lret_g, Lfwd_f, Mfwd, Kret]
+        routed = _reorder(x, [k, l, l, m], [1, 2, 0, 3], [l, k, m, l], [3, 0, 2, 1])
+        return Int0Morphism(x.h, k, m, closed_form(routed, x.h, 2 * l))
+    h1, h2, h = f.h, g.h, f.h * g.h
+    fv = f.tau.mat.reshape(h1, l + k, h1, k + l)
+    gv = g.tau.mat.reshape(h2, m + l, h2, l + m)
+    # W: H (x) [L_g, M, K] -> H (x) [L_f, K, M], viewed (h1, h2, ., h1, h2, .):
+    # g's inputs through its return output into f's return input, f's K
+    # column beside H2, g's M row beside H1, and 0 from K to M
+    w = np.zeros((h1, h2, l + k + m, h1, h2, l + m + k), dtype=complex)
+    through = (fv[..., k:].reshape(h1 * (l + k) * h1, l)
+               @ gv[:, m:].transpose(1, 0, 2, 3).reshape(l, h2 * h2 * (l + m)))
+    w[:, :, :l + k, :, :, :l + m] = through.reshape(
+        h1, l + k, h1, h2, h2, l + m).transpose(0, 3, 1, 2, 4, 5)
+    w[:, np.arange(h2), :l + k, :, np.arange(h2), l + m:] = fv[..., :k]
+    w[np.arange(h1), :, l + k:, np.arange(h1), :, :l + m] = gv[:, :m]
+    n = h * (l + k + m)
+    w = closed_form(owned(w.reshape(n, n)), h, l).mat.reshape(h, k + m, h, m + k)
+    # closed, W reads H (x) [M, K] -> H (x) [K, M]: swap both sides' summands
+    w = np.concatenate([w[:, k:], w[:, :k]], 1)
+    w = np.concatenate([w[..., m:], w[..., :m]], 3)
+    return Int0Morphism(h, k, m, owned(w.reshape(h * (m + k), h * (k + m))))
 
 
 def int_tensor(f: Int0Morphism, g: Int0Morphism) -> Int0Morphism:
@@ -151,8 +176,8 @@ def int_units(x: int):
 def canonical_trace(f: Int0Morphism, u: int) -> Int0Morphism:
     """Close a loop over the leading rank-u summand using unit and counit.
 
-    Evaluates bend-up, run f beside an identity, bend-down; equals the
-    automaton-level feedback on images of bidirectionalize.
+    Evaluates bend-up, run f beside an identity, bend-down; automaton
+    feedback on functor_image(t): functor_image(feedback_dqta(t, u)).
     """
     if u < 0 or u > f.src or u > f.dst:
         raise ShapeError(f"trace rank {u} exceeds ({f.src}, {f.dst})")

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qta import cli, intcat
 from qta.linalg import (
     ISOMETRY_TOL,
     IsometryError,
@@ -25,10 +28,11 @@ from qta.dqta import (
     unit_automata,
     witnessed_distance,
 )
-from qta.cli import simulate, write_automaton
+from qta.cli import build_cell, chain_cells, simulate, write_automaton
 from qta.intcat import (
     Int0Morphism,
     Qta,
+    _reorder,
     as_int0,
     bidirectionalize,
     canonical_trace,
@@ -42,6 +46,7 @@ from qta.intcat import (
     make_qta,
     name_of,
 )
+from qta.trace import closed_form
 
 from test_linalg import random_monomial
 
@@ -386,3 +391,129 @@ def test_functor_preserves_feedback_strictly():
     lhs = functor_image(feedback_dqta(t, 1))
     rhs = canonical_trace(functor_image(t), 1)
     assert same_morphism(lhs, rhs)
+
+
+# ------------------------------------------- composition's one-loop route
+
+def reference_compose(f, g):
+    """The two-copy route, which int_compose keeps for carried pairs, on any
+    pair: both middle copies routed to the front of turing_tensor(f, g)
+    and closed by one closed_form over 2l.  Uses the module functions, not
+    intcat's names, so monkeypatching intcat leaves it alone."""
+    k, l, m = f.src, f.dst, g.dst
+    x = turing_tensor(f, g)
+    routed = _reorder(x, [k, l, l, m], [1, 2, 0, 3], [l, k, m, l], [3, 0, 2, 1])
+    return Int0Morphism(x.h, k, m, closed_form(routed, x.h, 2 * l))
+
+
+def carried_ends(l):
+    """The carried morphisms of int_identity, int_symmetry and int_units
+    into middle rank l and out of it, as (fs, gs)."""
+    fs = [int_identity(l), *(int_symmetry(a, l - a) for a in range(l + 1))]
+    gs = list(fs)
+    if l % 2 == 0:
+        d, e = int_units(l // 2)
+        fs.append(d)
+        gs.append(e)
+    if l == 0:
+        d, e = int_units(1)
+        fs.append(e)
+        gs.append(d)
+    return fs, gs
+
+
+def drawn_pairs(draws, seed):
+    """(kind, f, g) with h1, h2 in 1..3 and k, l, m in 0..3: dense/dense,
+    dense/carried and carried/dense, the carried side cycling through
+    carried_ends."""
+    rng = np.random.default_rng(seed)
+    for i in range(draws):
+        h1, h2 = (int(x) for x in rng.integers(1, 4, 2))
+        k, l, m = (int(x) for x in rng.integers(0, 4, 3))
+        f = rand_int0(k, l, h1, seed=rng)
+        g = rand_int0(l, m, h2, seed=rng)
+        fs, gs = carried_ends(l)
+        yield "dense/dense", f, g
+        yield "dense/carried", f, gs[i % len(gs)]
+        yield "carried/dense", fs[i % len(fs)], g
+
+
+def test_the_one_loop_route_agrees_with_the_two_copy_route():
+    seen = set()
+    for kind, f, g in drawn_pairs(120, seed=33):
+        seen.add(kind)
+        got, want = int_compose(f, g), reference_compose(f, g)
+        assert (got.h, got.src, got.dst) == (want.h, want.src, want.dst)
+        assert got.tau.form is None
+        assert op_distance(got.tau, want.tau) <= 1e-12, (kind, f, g)
+    assert seen == {"dense/dense", "dense/carried", "carried/dense"}
+
+
+@pytest.mark.parametrize("l", range(4))
+def test_carried_pairs_keep_the_two_copy_route_bit_for_bit(l):
+    fs, gs = carried_ends(l)
+    for f in fs:
+        for g in gs:
+            got, want = int_compose(f, g).tau, reference_compose(f, g).tau
+            assert got.form is not None and got.shape == want.shape
+            assert got.form[0].tobytes() == want.form[0].tobytes()
+            assert got.form[1].tobytes() == want.form[1].tobytes()
+
+
+def test_a_dense_composition_closes_one_loop_of_the_middle_rank(monkeypatch):
+    calls = []
+
+    def recorded(w, h, u):
+        calls.append((w.shape, h, u))
+        return closed_form(w, h, u)
+
+    def carried_only(t1, t2):
+        assert t1.tau.form is not None and t2.tau.form is not None, \
+            "turing_tensor on a dense operand"
+        return turing_tensor(t1, t2)
+
+    monkeypatch.setattr(intcat, "closed_form", recorded)
+    monkeypatch.setattr(intcat, "turing_tensor", carried_only)
+    for kind, f, g in drawn_pairs(30, seed=34):
+        calls.clear()
+        int_compose(f, g)
+        h, k, l, m = f.h * g.h, f.src, f.dst, g.dst
+        assert calls == [((h * (l + m + k), h * (l + k + m)), h, l)], kind
+
+
+def test_a_dense_composition_peaks_below_the_tensored_carrier():
+    # h1 = h2 = k = l = m = 4: the carrier and its gather are side 256,
+    # W is 192 x 192
+    f, g = rand_int0(4, 4, 4, seed=35), rand_int0(4, 4, 4, seed=36)
+
+    def peak(compose):
+        compose(f, g)
+        tracemalloc.start()
+        try:
+            compose(f, g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(int_compose) <= 0.6 * peak(reference_compose)
+
+
+def haar_rule_cell(states, bits, seed):
+    side = 2 ** bits * 2 * states
+    return build_cell(states, bits, random_isometry(side, side, seed))
+
+
+# both wirings up to side 256, and one side-1024 case (about 0.7 s)
+@pytest.mark.parametrize("states, bits, ns, mirror", [
+    (2, 1, range(1, 6), False), (2, 1, range(1, 6), True),
+    (2, 2, range(1, 4), False), (2, 2, range(1, 4), True),
+    (2, 2, [4], False)])
+def test_haar_rule_chains_agree_with_the_two_copy_route(
+        monkeypatch, states, bits, ns, mirror):
+    cell = haar_rule_cell(states, bits, seed=37)
+    for n in ns:
+        got = chain_cells(cell, n, mirror=mirror).tau
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "int_compose", reference_compose)
+            want = chain_cells(cell, n, mirror=mirror).tau
+        assert op_distance(got, want) <= 1e-12, n
