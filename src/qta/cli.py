@@ -16,17 +16,18 @@ physical memory before building any text; cell, chain, compose, tensor
 and bidir's functor route refuse it from the dims of their valid
 arguments, before any algebra runs.
 
-The writer streams the text of a carried form (see linalg) row by row,
-each a zero row with at most one entry replaced, through a buffer of
-WRITE_BUFFER bytes.  It writes a regular file in place, over any old
-one, and cuts it to length before it writes the opening "{"; a device
-or pipe is a plain stream.  The loader reads the file's bytes and reads
-exactly that text, or a CRLF copy of it, back in place as the form
-(_read_carried), with no decoding, no dense matrix and no number per
-entry.  Only any other file is decoded, as open(path).read() decodes it,
-parsed whole as nested lists and checked entry by entry, which raises
-every loader error; its form is found exactly (carried), so both give
-the same bits from files of one format.
+The writer gives a carried form's (see linalg) text in two pieces per
+row, a slice of two zero rows from the last entry through ", " to the
+row's entry and the entry, through a buffer of WRITE_BUFFER bytes.  It
+writes a regular file in place, over any old one, and cuts it to length
+before it writes the opening "{"; a device or pipe is a plain stream.
+The loader reads the file's bytes and reads exactly that text, or a CRLF
+copy of it, back in place as the form (_read_carried), with no decoding,
+no dense matrix and no number per entry.  Only any other file is
+decoded, as open(path).read() decodes it, parsed whole as nested lists
+and checked entry by entry, which raises every loader error; its form is
+found exactly (carried), so both give the same bits from files of one
+format.
 
 The cell builder makes one tape cell: state space of alphabet_bits qubits,
 input and output interfaces split as left summands "(L,i)" then right
@@ -46,7 +47,8 @@ cells carry their form, so a segment is built by index arithmetic and path
 following, with no dense matrix.
 
 Exit codes: 0 success or all laws pass, 1 validation or law failure or
-running out of memory, 2 usage errors.
+running out of memory, 2 usage errors.  One argument parser per process
+serves every run_command; parsing does not change it.
 """
 
 import argparse
@@ -146,17 +148,15 @@ _ZERO_ENTRY = b"[0.0, 0.0]"
 _STRIDE = len(_ZERO_ENTRY) + len(", ")
 
 
-def _zero_row(cols):
-    """The text of a row of cols zero entries."""
-    return b"[" + b", ".join([_ZERO_ENTRY] * cols) + b"]"
+def _zero_rows(cols):
+    """Two zero rows of cols entries joined by ", ", and one's length."""
+    zero = b"[" + b", ".join([_ZERO_ENTRY] * cols) + b"]"
+    return memoryview(zero + b", " + zero), len(zero)
 
 
-def _row_pieces(zero, j, re_, im):
-    """The text of the zero row with entry j replaced by [re_, im], as
-    (before, entry, after) slices of it and the entry's text."""
-    cut = 1 + _STRIDE * j
-    return (zero[:cut], f"[{float(re_)!r}, {float(im)!r}]".encode(),
-            zero[cut + len(_ZERO_ENTRY):])
+def _entry_text(re_, im):
+    """The text of the entry [re_, im] of two floats, as json writes it."""
+    return f"[{re_!r}, {im!r}]".encode()
 
 
 def _head_text(kind, h, k, l):
@@ -172,8 +172,7 @@ def _tail_text(labels):
 
 
 def _matrix_text(op):
-    """json.dumps of op's [[[re, im], ...], ...] entries in pieces, made
-    lazily for a carried form, with no dense array and no whole text."""
+    """json.dumps of op's [[[re, im], ...], ...] entries, in pieces."""
     if op.form is None:
         return [json.dumps(
             np.stack([op.mat.real, op.mat.imag], axis=-1).tolist()).encode()]
@@ -181,16 +180,23 @@ def _matrix_text(op):
 
 
 def _carried_text(op):
+    """A carried form's text in pieces; a row with no entry is one slice."""
     target, phase = op.form
     source = np.full(op.rows, -1)
     source[target] = np.arange(op.cols)
-    zero = memoryview(_zero_row(op.cols))  # sliced without copies
-    yield b"["
-    for i, j in enumerate(source.tolist()):
-        yield b", " if i else b""
-        yield from (_row_pieces(zero, j, phase[j].real, phase[j].imag)
-                    if j >= 0 else [zero])
-    yield b"]"
+    double, n = _zero_rows(op.cols)
+    entries = list(map(_entry_text, phase.real.tolist(), phase.imag.tolist()))
+    pieces, at = [b"["], n + 2  # the next slice's start: row 0 has no ", "
+    for j in source.tolist():
+        if j < 0:
+            pieces.append(double[at:2 * n + 2])
+            at = n
+        else:
+            cut = 1 + _STRIDE * j
+            pieces += (double[at:n + 2 + cut], entries[j])
+            at = cut + len(_ZERO_ENTRY)
+    pieces += (double[at:n], b"]")
+    return pieces
 
 
 def _require_int(record, field, path):
@@ -220,14 +226,10 @@ def _check_header(record, path):
     k = _require_int(record, "k", path)
     if h < 1:
         raise ValueError(f"{path}: field 'h' must be positive")
-    if kind == "dqta":
-        l = _require_int(record, "l", path)
-    else:
-        if "l" in record:
-            raise ValueError(f"{path}: qta records store their rank in 'k'; "
-                             "field 'l' is not allowed")
-        l = k
-    return kind, h, k, l
+    if kind == "qta" and "l" in record:
+        raise ValueError(f"{path}: qta records store their rank in 'k'; "
+                         "field 'l' is not allowed")
+    return kind, h, k, _require_int(record, "l", path) if kind == "dqta" else k
 
 
 def _check_labels(record, kind, k, l, path):
@@ -247,16 +249,16 @@ def _read_carried(data, path):
     """The record, its transition a carried form, when the bytes data are
     exactly what write_automaton writes for one; None for any others.
 
-    Each row is the zero row or has entry j replaced (_row_pieces) by a
+    Each row is the zero row or has entry j replaced (_entry_text) by a
     nonzero finite [re, im] in floats' reprs, j distinct: the row's first
     byte that differs from the zero row lies in entry j, within its first
-    10 bytes.  The pieces are checked in place with startswith.  Phases are
-    built as _entries_to_matrix builds entries, so the form is carried()'s
-    on json's matrix, bit for bit.  Nothing sized by the header is built
-    before the file is long enough for that many entries.  The text's one
-    raw newline is its last byte (json escapes the others), so a CRLF or
-    CR copy, which text mode reads as the writer's text, differs only
-    there and is read too."""
+    10 bytes.  The entry, then the rest as one slice of the writer's zero
+    rows, are checked in place.  Phases are built as _entries_to_matrix
+    builds entries, so the form is carried()'s on json's matrix, bit for
+    bit.  Nothing sized by the header is built before the file is long
+    enough for that many entries.  The text's one raw newline is its last
+    byte (json escapes the others), so a CRLF or CR copy, which text mode
+    reads as the writer's text, differs only there and is read too."""
     try:
         # the writer's header is far shorter than 200 bytes
         record = json.loads(data[:data.index(b', "matrix": ', 0, 200)] + b"}")
@@ -269,17 +271,17 @@ def _read_carried(data, path):
             or len(data) - len(head) < rows * (_STRIDE * cols + 2)):
         return None
     p = len(head)
-    zero = _zero_row(cols)
-    view, zeros = np.frombuffer(data, np.uint8), np.frombuffer(zero, np.uint8)
+    double, n = _zero_rows(cols)
+    view, zeros = np.frombuffer(data, np.uint8), np.frombuffer(double[:n], np.uint8)
     found = {}  # column: (row, re, im)
     for i in range(rows):
-        pieces = [zero]
-        if not data.startswith(zero, p):
-            span = view[p:p + len(zero)]
-            j = (int((span != zeros[:len(span)]).argmax()) - 1) // _STRIDE
-            entry = p + 1 + _STRIDE * j
-            close = data.find(b"]", entry)
-            try:
+        end = n + 2 if i + 1 < rows else n  # with ", ", but not the last "]"
+        if not data.startswith(double[:end], p):
+            span = view[p:p + n]
+            try:  # data that end at a row's start leave no span, no argmax
+                j = (int((span != zeros[:len(span)]).argmax()) - 1) // _STRIDE
+                entry = p + 1 + _STRIDE * j
+                close = data.find(b"]", entry)
                 re_, im = map(float, data[entry + 1:max(close, entry)].split(b", "))
             except ValueError:
                 return None
@@ -287,18 +289,19 @@ def _read_carried(data, path):
                     or not (math.isfinite(re_) and math.isfinite(im))):
                 return None
             found[j] = (i, re_, im)
-            pieces = _row_pieces(zero, j, re_, im)
-        for piece in (*pieces, b", " if i + 1 < rows else b"]"):
-            if not data.startswith(piece, p):
+            text, after = _entry_text(re_, im), entry - p + len(_ZERO_ENTRY)
+            if not (data.startswith(text, entry) and data.startswith(
+                    double[after:end], entry + len(text))):
                 return None
-            p += len(piece)
-    tail = data[p:]
+            p += len(text) - len(_ZERO_ENTRY)
+        p += end
+    tail = data[p:]  # from the matrix's "]"
     try:
-        rest = json.loads(b"{" + tail.removeprefix(b", "))
+        rest = json.loads(b"{" + tail[1:].removeprefix(b", "))
         labels = _check_labels(rest, kind, k, l, path)
     except (ValueError, RecursionError):
         return None
-    text = _tail_text(labels)
+    text = b"]" + _tail_text(labels)
     if len(found) != cols or tail not in (text, text[:-1] + b"\r\n",
                                           text[:-1] + b"\r"):
         return None
@@ -445,7 +448,7 @@ def write_automaton(value, path, labels=None):
     check_defect(defect, f"{path}: refusing to write a transition the "
                  "loader would reject")
     _refuse_oversized(value.tau.rows, value.tau.cols, path)
-    # a dense matrix's text is built before the file is opened.  A regular
+    # the matrix's text is built before the file is opened.  A regular
     # file is written over in place and then cut to length: truncating it
     # first took longer than writing.  Its "{" goes in last, so that an
     # unfinished rewrite, new text before an old tail, never loads.
@@ -650,10 +653,9 @@ def _cmd_compose(args):
     if a.l == b.k:
         _refuse_oversized(a.h * b.h * b.l, a.h * b.h * a.k, args.output)
     out = cascade(a, b)
-    labels = None
-    if first.labels and second.labels:
-        labels = {"input": first.labels["input"],
-                  "output": second.labels["output"]}
+    labels = ({"input": first.labels["input"],
+               "output": second.labels["output"]}
+              if first.labels and second.labels else None)
     return _write(out, args.output, labels)
 
 
@@ -661,20 +663,18 @@ def _cmd_tensor(args):
     (first, a), (second, b) = _read_dqta("tensor", args.first, args.second)
     _refuse_oversized(a.h * b.h * (a.l + b.l), a.h * b.h * (a.k + b.k), args.output)
     out = turing_tensor(a, b)
-    labels = None
-    if first.labels and second.labels:
-        labels = {"input": first.labels["input"] + second.labels["input"],
-                  "output": first.labels["output"] + second.labels["output"]}
+    labels = ({"input": first.labels["input"] + second.labels["input"],
+               "output": first.labels["output"] + second.labels["output"]}
+              if first.labels and second.labels else None)
     return _write(out, args.output, labels)
 
 
 def _cmd_feedback(args):
     [(record, value)] = _read_dqta("feedback", args.file)
     out = feedback_dqta(value, args.u)
-    labels = None
-    if record.labels:
-        labels = {"input": record.labels["input"][args.u:],
-                  "output": record.labels["output"][args.u:]}
+    labels = ({"input": record.labels["input"][args.u:],
+               "output": record.labels["output"][args.u:]}
+              if record.labels else None)
     return _write(out, args.output, labels)
 
 
@@ -713,9 +713,8 @@ def _cmd_bidir(args):
         if isinstance(value, UnitaryDqta):  # else bidirectionalize refuses it
             _refuse_oversized_side(value.k + value.l, value.h, 2, args.output)
         out = bidirectionalize(value)
-        labels = None
-        if record.labels:
-            labels = record.labels["input"] + record.labels["output"]
+        labels = (record.labels["input"] + record.labels["output"]
+                  if record.labels else None)
     write_automaton(out, args.output, labels)
     print(f"wrote {args.output}: qta h={out.h} k={out.n} via {route} route")
     return 0
@@ -746,9 +745,8 @@ def _cmd_cell(args):
     # with valid arguments, a matrix rule that does not fit is the file's fault
     by_file = valid and isinstance(rule, Operator)
     cell = _operator(build, rule, args.rule) if by_file else build(rule)
-    labels = {"input": cell_labels(args.states),
-              "output": cell_labels(args.states)}
-    return _write(cell, args.output, labels)
+    names = cell_labels(args.states)
+    return _write(cell, args.output, {"input": names, "output": names})
 
 
 def _cmd_chain(args):
@@ -767,11 +765,13 @@ def _cmd_simulate(args):
     value = parse_automaton(args.file)
     _refuse_trace(args.steps, value.k, args.file)
     trace = simulate(value, (args.start, 0), args.steps)
-    for step in range(trace.steps + 1):
-        record = {"step": step,
-                  "masses": list(trace.masses[step]),
-                  "total_norm": trace.total_norm[step]}
-        print(json.dumps(record))
+    # json.dumps of each step's record, made as it is written, so that no
+    # text is held beside the trace: masses are finite floats, whose json is
+    # their repr, as the transition is gated unitary and its entries finite
+    line = ('{"step": %d, "masses": [' + ", ".join(["%r"] * value.k)
+            + '], "total_norm": %r}\n')
+    sys.stdout.writelines(line % (step, *masses, total) for step, (
+        masses, total) in enumerate(zip(trace.masses, trace.total_norm)))
     return 0
 
 
@@ -784,6 +784,7 @@ def _cmd_axioms(args):
     return 0 if suite_passed(reports) else 1
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qta",
@@ -857,9 +858,8 @@ def _build_parser():
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -103,6 +103,31 @@ def test_non_isometric_matrix_is_rejected_with_defect(tmp_path):
 SIGNED = monomial(4, [3, 0, 1], [complex(-0.0, 1.0), complex(1.0, -0.0),
                                  complex(-0.6, -0.8)])
 
+# phases with signed-zero parts: re + 1j * im, as the loaders build entries,
+# keeps the sign of the real -0.0 in -0.0 - 1j and drops the other three
+SIGNED_ZERO_PHASES = [complex(1.0, -0.0), complex(-0.0, 1.0),
+                      complex(-1.0, -0.0), complex(-0.0, -1.0)]
+
+
+def seeded_carried(seed):
+    """(value, labels): a seeded carried isometry with h = 1-3 and l - k =
+    0-3 empty rows per state, its phases +-1, uniform unit phases or with
+    -0.0 parts by seed % 3, a qta or a dqta when square, labeled or not."""
+    rng = np.random.default_rng(seed)
+    h, k = 1 + seed // 4 % 3, int(rng.integers(1, 5))
+    l = k + seed % 4
+    rows, cols = h * l, h * k
+    phase = [np.array([1.0, -1.0])[rng.integers(0, 2, cols)],
+             np.exp(2j * np.pi * rng.random(cols)),
+             np.array(SIGNED_ZERO_PHASES)[rng.integers(0, 4, cols)]][seed % 3]
+    tau = monomial(rows, rng.permutation(rows)[:cols], phase)
+    names = [f"s{i}" for i in range(k)]
+    if k == l and seed % 8 < 4:
+        return Qta(h, k, tau), names if seed // 8 % 2 else None
+    outputs = names + ["t"] * (l - k)
+    return Dqta(h, k, l, tau), ({"input": names, "output": outputs}
+                                if seed % 2 else None)
+
 
 @pytest.mark.parametrize("value, labels", [
     (Dqta(1, 3, 4, SIGNED), {"input": ("a", "b", "c"),
@@ -112,6 +137,7 @@ SIGNED = monomial(4, [3, 0, 1], [complex(-0.0, 1.0), complex(1.0, -0.0),
     (Qta(1, 3, monomial(3, [1, 2, 0], [-1.0, 1j, complex(-0.0, -1.0)])),
      ("x", "y", "z")),
     (Dqta(1, 0, 2, monomial(2, [])), None),
+    *map(seeded_carried, range(24)),
 ])
 def test_writer_builds_the_text_of_the_materialized_record(tmp_path, value,
                                                            labels):
@@ -126,6 +152,13 @@ def test_writer_builds_the_text_of_the_materialized_record(tmp_path, value,
         record["labels"] = labels
     with open(path) as fh:
         assert fh.read() == json.dumps(record) + "\n"
+    # and the carried reader reads json's form back, bit for bit
+    with open(path, "rb") as fh:
+        back = cli._read_carried(fh.read(), path)
+    assert (back is not None) == (value.k > 0)
+    if back is not None:
+        assert_same_form(back.tau, linalg.carried(json_decode(path)[0]))
+        assert np.array_equal(back.tau.mat, mat)
 
 
 def two_by_two_file(tmp_path, matrix):
@@ -353,12 +386,6 @@ def test_zero_size_matrices_take_the_nested_reader(tmp_path, k, l, matrix):
     assert record.tau.mat.dtype == complex
 
 
-# phases with signed-zero parts: re + 1j * im, as the loaders build entries,
-# keeps the sign of the real -0.0 in -0.0 - 1j and drops the other three
-SIGNED_ZERO_PHASES = [complex(1.0, -0.0), complex(-0.0, 1.0),
-                      complex(-1.0, -0.0), complex(-0.0, -1.0)]
-
-
 @st.composite
 def carried_automata(draw):
     """(value, labels): a carried isometry, square or tall, with phases
@@ -470,6 +497,19 @@ def test_near_miss_texts_take_the_nested_reader(tmp_path, old, new):
     assert cli._read_carried(text.encode(), path) is not None
     assert text.count(old) == 1
     assert_falls_back_as_json_does(write_text(tmp_path, text.replace(old, new)))
+
+
+def test_a_text_cut_at_a_row_start_takes_the_nested_reader(tmp_path):
+    # long phase reprs put the last row's start past the length check's
+    # floor, so the cut leaves that row no bytes to scan
+    phase = np.exp(1j * np.linspace(0.1, 3.0, 8))
+    path = str(tmp_path / "t.json")
+    write_automaton(make_unitary_dqta(1, 8, monomial(8, np.arange(8)[::-1],
+                                                     phase)), path)
+    with open(path) as fh:
+        text = fh.read()
+    cut = text.rindex("]], [[") + len("]], ")
+    assert_falls_back_as_json_does(write_text(tmp_path, text[:cut]))
 
 
 # phases whose entry text starts as the zero entry's does: the row's first
@@ -1194,6 +1234,27 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_command_as_a_fresh_one_would(capsys,
+                                                               monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    cell = os.path.join(DATA_DIR, "cell_2s1b.json")
+    argvs = [["feedback", "x.json"], ["--help"], ["chain", "--help"],
+             ["frobnicate"], ["validate", cell], [],
+             ["simulate", cell, "--steps", "x"],
+             ["simulate", cell, "--steps", "2", "--start", "1"]] * 2
+
+    def outcomes():
+        # run_command's exit code, standard output and error for each argv
+        return [(run_command(argv), *capsys.readouterr()) for argv in argvs]
+
+    reused = outcomes()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outcomes() == reused
+    assert [code for code, _, _ in reused] == [2, 0, 0, 2, 0, 2, 2, 0] * 2
+    assert reused[1][1].startswith("usage: qta ")
+    assert "invalid choice: 'frobnicate'" in reused[3][2]
+
+
 def _record_text(kind="dqta", h=1, k=1, l=1, matrix=(), **extra):
     return json.dumps({"kind": kind, "h": h, "k": k, "l": l,
                        "matrix": list(matrix), **extra})
@@ -1812,6 +1873,34 @@ def test_cell_command_with_rule_file(tmp_path, capsys):
     assert run_command(["cell", "--states", "1", "--bits", "0",
                         "--rule", bad_rule, "-o", out]) == 1
     capsys.readouterr()
+
+
+def json_lines(trace):
+    """json.dumps of each step's record, one line each."""
+    return "".join(json.dumps({"step": step, "masses": list(masses),
+                               "total_norm": total}) + "\n"
+                   for step, (masses, total) in enumerate(
+                       zip(trace.masses, trace.total_norm)))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 300])
+@pytest.mark.parametrize("which", ["haar-cell", "segment"])
+def test_simulate_prints_json_dumps_of_each_step(tmp_path, capsys, which,
+                                                 steps):
+    # a dense Haar-rule cell, whose masses print as long float reprs, and
+    # a carried segment, on the walk
+    path = str(tmp_path / "a.json")
+    write_automaton(build_cell(2, 1, random_isometry(8, 8, 99))
+                    if which == "haar-cell" else
+                    chain_cells(build_cell(2, 2), 2), path)
+    for start in (0, 3):
+        trace = simulate(parse_automaton(path), (start, 0), steps)
+        assert run_command(["simulate", path, "--steps", str(steps),
+                            "--start", str(start)]) == 0
+        assert capsys.readouterr().out == json_lines(trace)
+    assert (parse_automaton(path).tau.form is None) == (which == "haar-cell")
+    if steps and which == "haar-cell":
+        assert any(len(repr(m)) > 15 for m in trace.masses[-1])
 
 
 def test_simulate_command_prints_json_steps(capsys):
