@@ -23,7 +23,7 @@ writes a regular file in place, over any old one, and cuts it to length
 before it writes the opening "{"; a device or pipe is a plain stream.
 The loader reads the file's bytes and reads exactly that text, or a CRLF
 copy of it, back in place as the form (_read_carried), with no decoding,
-no dense matrix and no number per entry.  Only any other file is
+no dense matrix and one parse per distinct entry text.  Any other file is
 decoded, as open(path).read() decodes it, parsed whole as nested lists
 and checked entry by entry, which raises every loader error; its form is
 found exactly (carried), so both give the same bits from files of one
@@ -250,15 +250,17 @@ def _read_carried(data, path):
     exactly what write_automaton writes for one; None for any others.
 
     Each row is the zero row or has entry j replaced (_entry_text) by a
-    nonzero finite [re, im] in floats' reprs, j distinct: the row's first
-    byte that differs from the zero row lies in entry j, within its first
-    10 bytes.  The entry, then the rest as one slice of the writer's zero
-    rows, are checked in place.  Phases are built as _entries_to_matrix
-    builds entries, so the form is carried()'s on json's matrix, bit for
-    bit.  Nothing sized by the header is built before the file is long
-    enough for that many entries.  The text's one raw newline is its last
-    byte (json escapes the others), so a CRLF or CR copy, which text mode
-    reads as the writer's text, differs only there and is read too."""
+    nonzero finite [re, im] in floats' reprs, j distinct.  One numpy scan
+    per row finds its first byte that differs from the zero row, which lies
+    in entry j, within its first 10 bytes; a row with none is the zero row
+    if its ", " follows.  Each distinct entry text is parsed and checked
+    once; the rest of the row is checked in place as one slice of the
+    writer's zero rows.  Phases are built as _entries_to_matrix builds
+    entries, so the form is carried()'s on json's matrix, bit for bit.
+    Nothing sized by the header is built before the file is long enough
+    for that many entries.  The text's one raw newline is its last byte
+    (json escapes the others), so a CRLF or CR copy, which text mode reads
+    as the writer's text, differs only there and is read too."""
     try:
         # the writer's header is far shorter than 200 bytes
         record = json.loads(data[:data.index(b', "matrix": ', 0, 200)] + b"}")
@@ -273,28 +275,35 @@ def _read_carried(data, path):
     p = len(head)
     double, n = _zero_rows(cols)
     view, zeros = np.frombuffer(data, np.uint8), np.frombuffer(double[:n], np.uint8)
-    found = {}  # column: (row, re, im)
+    target, pairs, parsed = [None] * cols, [None] * cols, {}  # text: (re, im)
     for i in range(rows):
         end = n + 2 if i + 1 < rows else n  # with ", ", but not the last "]"
-        if not data.startswith(double[:end], p):
-            span = view[p:p + n]
-            try:  # data that end at a row's start leave no span, no argmax
-                j = (int((span != zeros[:len(span)]).argmax()) - 1) // _STRIDE
-                entry = p + 1 + _STRIDE * j
-                close = data.find(b"]", entry)
-                re_, im = map(float, data[entry + 1:max(close, entry)].split(b", "))
-            except ValueError:
+        try:  # data that end at a row's start leave no span, no argmax
+            differ = view[p:p + n] != zeros[:len(data) - p]
+            j = int(differ.argmax())
+            if not differ[j]:  # the zero row, or a row cut short
+                if not data.startswith(double[n:end], p + n):
+                    return None
+                p += end
+                continue
+            j = (j - 1) // _STRIDE
+            if j < 0 or target[j] is not None:
                 return None
-            if (j < 0 or j in found or re_ == im == 0
-                    or not (math.isfinite(re_) and math.isfinite(im))):
-                return None
-            found[j] = (i, re_, im)
-            text, after = _entry_text(re_, im), entry - p + len(_ZERO_ENTRY)
-            if not (data.startswith(text, entry) and data.startswith(
-                    double[after:end], entry + len(text))):
-                return None
-            p += len(text) - len(_ZERO_ENTRY)
-        p += end
+            entry = p + 1 + _STRIDE * j
+            text = data[entry:data.find(b"]", entry) + 1]
+            if text not in parsed:
+                re_, im = map(float, text[1:-1].split(b", "))
+                if (re_ == im == 0 or not (math.isfinite(re_) and math.isfinite(im))
+                        or _entry_text(re_, im) != text):
+                    return None
+                parsed[text] = re_, im
+        except ValueError:
+            return None
+        if not data.startswith(double[entry - p + len(_ZERO_ENTRY):end],
+                               entry + len(text)):
+            return None
+        target[j], pairs[j] = i, parsed[text]
+        p += end + len(text) - len(_ZERO_ENTRY)
     tail = data[p:]  # from the matrix's "]"
     try:
         rest = json.loads(b"{" + tail[1:].removeprefix(b", "))
@@ -302,11 +311,11 @@ def _read_carried(data, path):
     except (ValueError, RecursionError):
         return None
     text = b"]" + _tail_text(labels)
-    if len(found) != cols or tail not in (text, text[:-1] + b"\r\n",
-                                          text[:-1] + b"\r"):
+    if None in target or tail not in (text, text[:-1] + b"\r\n",
+                                      text[:-1] + b"\r"):
         return None
-    row, res, ims = map(np.array, zip(*(found[j] for j in range(cols))))
-    return AutomatonFile(kind, h, k, l, monomial(rows, row, res + 1j * ims),
+    res, ims = map(np.array, zip(*pairs))
+    return AutomatonFile(kind, h, k, l, monomial(rows, target, res + 1j * ims),
                          labels)
 
 
@@ -401,7 +410,7 @@ WRITE_BUFFER = 2 ** 20
 
 
 # Peak bytes per trace entry (n masses and a total per step) of qta simulate,
-# 81.7 by tracemalloc at n = 1 (69.9 at n = 2), with 25% to spare.
+# by tracemalloc: 80.6 / 69.7 / 61.0 at n = 1 / 2 / 4, with 25% to spare.
 TRACE_BYTES_PER_ENTRY = 102
 
 
@@ -562,17 +571,19 @@ def _refuse_trace(steps, n, where):
 def _walk(form, at, amp, masses):
     """Write the masses of basis vector at times amp under the square carried
     form (target, phase), step by step.  Products are array multiplies on
-    one-element slices, as in phase * v, so they round alike bit for bit (a
-    scalar multiply may skip the fused multiply-add)."""
-    target, phase = form
+    one-element rows of column views, as in phase * v, so they round alike
+    bit for bit (a scalar multiply may skip the fused multiply-add), and no
+    slice is built per step nor anything sized by the side."""
+    target, phase = form[0], form[1].reshape(-1, 1)
     steps, n = masses.shape[0] - 1, masses.shape[1]
     path = np.empty(steps + 1, dtype=np.intp)
-    amps = np.empty(steps + 1, dtype=complex)
-    path[0], amps[0] = at, amp
-    for s in range(steps):
-        np.multiply(phase[at:at + 1], amps[s:s + 1], out=amps[s + 1:s + 2])
-        at = path[s + 1] = target[at]
-    masses[np.arange(steps + 1), path % n] = np.abs(amps) ** 2
+    amps = np.empty((steps + 1, 1), dtype=complex)
+    path[0], amps[0], prev = at, amp, amps[0]
+    for s, nxt in enumerate(amps[1:], 1):
+        np.multiply(phase[at], prev, out=nxt)
+        at = path[s] = target[at]
+        prev = nxt
+    masses[np.arange(steps + 1), path % n] = np.abs(amps[:, 0]) ** 2
 
 
 def simulate(q, initial, steps) -> SimulationTrace:
@@ -581,8 +592,9 @@ def simulate(q, initial, steps) -> SimulationTrace:
     initial is either a full state vector of length h*n or a pair
     (interface index, state-factor basis index).  On a carried form a start
     with one nonzero entry stays a basis vector times a phase, whose path
-    is followed: O(1) work per step; any other start costs O(h*n) per step.
-    A trace past physical memory is refused before the first step.
+    is followed: O(1) work per step, and a pair start builds no state
+    vector; any other start costs O(h*n) per step.  A trace past physical
+    memory is refused before the first step.
     """
     if not isinstance(q, Dqta):
         raise ValueError(f"cannot simulate {type(q).__name__}")
@@ -602,8 +614,7 @@ def simulate(q, initial, steps) -> SimulationTrace:
             raise ValueError(f"interface index {iface} out of range 0..{n - 1}")
         if not 0 <= basis < h:
             raise ValueError(f"basis index {basis} out of range 0..{h - 1}")
-        v = np.zeros(h * n, dtype=complex)
-        v[basis * n + iface] = 1.0
+        at, v = basis * n + iface, None
     else:
         v = np.asarray(initial, dtype=complex).reshape(-1)
         if v.shape[0] != h * n:
@@ -611,11 +622,13 @@ def simulate(q, initial, steps) -> SimulationTrace:
                              f"got {v.shape[0]}")
         norm = float(np.linalg.norm(v))
         check_defect(abs(norm - 1.0), f"initial state norm {norm:.12g} is not 1")
+        support = np.flatnonzero(v)
+        at = support[0] if len(support) == 1 else None
     masses = np.zeros((steps + 1, n))
-    support = np.flatnonzero(v)
-    if tau.form is not None and len(support) == 1:
-        _walk(tau.form, support[0], v[support[0]], masses)
+    if tau.form is not None and at is not None:
+        _walk(tau.form, at, 1.0 if v is None else v[at], masses)
     else:
+        v = np.eye(1, h * n, at, dtype=complex)[0] if v is None else v
         for step in range(steps + 1):
             if step > 0 and tau.form is None:
                 v = tau.mat @ v

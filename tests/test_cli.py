@@ -434,6 +434,28 @@ def test_carried_reader_reads_the_writer_as_json_does(tmp_path, case):
         header["kind"], header["h"], header["k"], header.get("l", header["k"]))
 
 
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(carried_automata(), st.data())
+def test_carried_reader_reads_a_one_byte_edit_as_the_nested_reader(
+        tmp_path, case, data):
+    # the carried reader declines the edited bytes, or reads them as the
+    # nested reader reads them, which then must not fail
+    value, labels = case
+    path = str(tmp_path / "t.json")
+    write_automaton(value, path, labels)
+    with open(path, "rb") as fh:
+        text = bytearray(fh.read())
+    at = data.draw(st.integers(0, len(text) - 1))
+    text[at] = data.draw(st.sampled_from(b"0123456789-+.eE[], \"\r\n")
+                         | st.integers(0, 255))
+    record = cli._read_carried(bytes(text), path)
+    if record is not None:
+        nested = cli._load_nested(io.TextIOWrapper(io.BytesIO(text)).read(),
+                                  path)
+        assert_same_record(record, nested)
+
+
 def assert_falls_back_as_json_does(path):
     """The carried reader declines the file, and load_record raises json's
     error, the finite check's, or loads json's matrix bit for bit."""
@@ -477,6 +499,8 @@ NEAR_MISSES = {
     "column-twice": ("[[-0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]",
                      "[[0.0, 0.0], [0.0, 0.0], [-0.0, 1.0]]"),
     "row-separator": ("-0.8]], [[", "-0.8]],[["),
+    "zero-row-separator-tab": ("0.0]], [[-0.0", "0.0]],\t[[-0.0"),
+    "zero-row-separator-semicolon": ("0.0]], [[-0.0", "0.0]]; [[-0.0"),
     "header-space": ('"h": 1', '"h":1'),
     "header-leading-zero": ('"h": 1', '"h": 01'),
     "leading-space": ('{"kind"', '{ "kind"'),
@@ -576,6 +600,59 @@ def test_row_scan_declines_a_last_row_cut_short(tmp_path, keep):
     with open(path, "wb") as fh:
         fh.write(data[:cut])
     assert_falls_back_as_json_does(path)
+
+
+# phases that repeat, so that most entry texts were read before; with the
+# targets reversed, the last row holds column 0's phase, 1.0
+REPEATED_PHASES = {"ones": [1.0] * 8,
+                   "signs": [1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0]}
+
+
+@pytest.mark.parametrize("new", ["[1.0, 0.00]", "[1, 0.0]", "[0.0, 0.0]",
+                                 "[1.0, -0.0]"],
+                         ids=["trailing-zero", "int-token", "zero-last-row",
+                              "signed-zero"])
+@pytest.mark.parametrize("family", REPEATED_PHASES)
+def test_a_later_copy_of_a_repeated_entry_is_checked_as_the_first(
+        tmp_path, family, new):
+    # the last copy of a text read before is edited; "[0.0, 0.0]" leaves a
+    # zero row after the last entry, and column 0 with no entry
+    path = str(tmp_path / "t.json")
+    write_automaton(Dqta(2, 4, 4, monomial(8, np.arange(8)[::-1],
+                                           REPEATED_PHASES[family])), path)
+    with open(path) as fh:
+        text = fh.read()
+    assert cli._read_carried(text.encode(), path) is not None
+    one = "[1.0, 0.0]"
+    assert text.count(one) > 1
+    at = text.rindex(one)
+    path = write_text(tmp_path, text[:at] + new + text[at + len(one):],
+                      "edit.json")
+    if new == "[1.0, -0.0]":
+        # the writer's text for the phase 1 - 0j, read as json reads it
+        assert_loads_as_json(path, carried_text=True)
+    else:
+        assert_falls_back_as_json_does(path)
+
+
+@pytest.mark.parametrize("phased", [False, True])
+def test_each_distinct_entry_text_is_parsed_once(tmp_path, monkeypatch,
+                                                 phased):
+    rule = random_monomial(np.random.default_rng(3), 16, 16) if phased else None
+    seg = chain_cells(build_cell(2, 2, rule), 4)
+    path = str(tmp_path / "seg.json")
+    write_automaton(seg, path)
+    phase = seg.tau.form[1]
+    texts = set(map(cli._entry_text, phase.real.tolist(), phase.imag.tolist()))
+    assert len(texts) > 100 if phased else len(texts) == 1
+    calls = []
+    entry_text = cli._entry_text
+    monkeypatch.setattr(cli, "_entry_text",
+                        lambda *pair: calls.append(pair) or entry_text(*pair))
+    with open(path, "rb") as fh:
+        record = cli._read_carried(fh.read(), path)
+    assert_same_form(record.tau, seg.tau)
+    assert len(calls) == len(texts)
 
 
 # ----------------------------------------- the text the nested reader sees
@@ -1181,6 +1258,19 @@ def test_a_walk_costs_its_trace_not_the_side(wide_segment):
             tracemalloc.stop()
     larger_trace = cli.TRACE_BYTES_PER_ENTRY * 4001 * (seg.k + 1)
     assert peaks[4000] - peaks[1000] <= larger_trace
+
+
+def test_a_pair_start_builds_no_state_vector(wide_segment):
+    # the state vector is 4 MiB
+    seg = wide_segment
+    tracemalloc.start()
+    try:
+        trace = simulate(seg, (1, 2), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert trace == loop_simulate(seg, (1, 2), 10)
 
 
 @pytest.mark.parametrize("start", ["pair", "vector"])
