@@ -25,9 +25,8 @@ The loader reads the file's bytes and reads exactly that text, or a CRLF
 copy of it, back in place as the form (_read_carried), with no decoding,
 no dense matrix and one parse per distinct entry text.  Any other file is
 decoded, as open(path).read() decodes it, parsed whole as nested lists
-and checked entry by entry, which raises every loader error; its form is
-found exactly (carried), so both give the same bits from files of one
-format.
+and checked entry by entry, which raises every loader error; both give
+the bits that Operator gives the same matrix built in code.
 
 The cell builder makes one tape cell: state space of alphabet_bits qubits,
 input and output interfaces split as left summands "(L,i)" then right
@@ -42,9 +41,9 @@ one, which wires the right output of cell i to the left input of cell i+1
 and the left output of cell i+1 back to the right input of cell i.
 --mirror flips which neighbour a left-moving output feeds: left outputs
 then wire forward and right outputs backward, so labels track direction
-of motion instead of the boundary being crossed.  Default and rule-table
-cells carry their form, so a segment is built by index arithmetic and path
-following, with no dense matrix.
+of motion instead of the boundary being crossed.  Default, rule-table and
+monomial matrix-rule cells carry their form, so a segment is built by
+index arithmetic and path following, with no dense matrix.
 
 Exit codes: 0 success or all laws pass, 1 validation or law failure or
 running out of memory, 2 usage errors.  One argument parser per process
@@ -87,7 +86,6 @@ from . import linalg
 from .linalg import (
     Operator,
     adjoint,
-    carried,
     check_defect,
     identity,
     isometry_defect,
@@ -256,7 +254,7 @@ def _read_carried(data, path):
     if its ", " follows.  Each distinct entry text is parsed and checked
     once; the rest of the row is checked in place as one slice of the
     writer's zero rows.  Phases are built as _entries_to_matrix builds
-    entries, so the form is carried()'s on json's matrix, bit for bit.
+    entries, so the form is Operator's on json's matrix, bit for bit.
     Nothing sized by the header is built before the file is long enough
     for that many entries.  The text's one raw newline is its last byte
     (json escapes the others), so a CRLF or CR copy, which text mode reads
@@ -339,15 +337,15 @@ def _operator(build, matrix, path):
 
 def _load_nested(text, path):
     """The record of any file: parsed whole as nested lists, checked entry
-    by entry, its transition carrying the form carried() finds."""
+    by entry, its transition carrying the form Operator finds."""
     record = _parse_json(text, path)
     kind, h, k, l = _check_header(record, path)
     if "matrix" not in record:
         raise ValueError(f"{path}: missing field 'matrix'")
-    # popped, so that the lists are freed before carried() copies the array
+    # popped, so that the lists are freed before Operator copies the array
     matrix = _entries_to_matrix(record.pop("matrix"), (h * l, h * k), path)
     labels = _check_labels(record, kind, k, l, path)
-    return AutomatonFile(kind, h, k, l, _operator(carried, matrix, path), labels)
+    return AutomatonFile(kind, h, k, l, _operator(Operator, matrix, path), labels)
 
 
 def load_record(path) -> AutomatonFile:

@@ -15,14 +15,14 @@ Conventions fixed here once and relied on by every other module:
 * carried forms: an operator with one nonzero entry per column, in
   distinct rows (a partial injection with phases), may carry ``form =
   (target, phase)``, column j being phase[j] times basis vector
-  target[j].  ``monomial``, ``identity``, the swaps and ``carried`` (exact
-  detection) build them; ``adjoint`` (square), ``kron``, ``dsum``,
-  ``gather`` and the defects do index arithmetic when every operand
-  carries one.  ``.mat`` of a carried form is built when first read.
-* two constructors: ``Operator(entries)`` copies and checks what comes
-  from outside (users, files); ``owned(mat)`` wraps a freshly computed
-  complex array as it is, for the results of the library's own
-  operations, which are trusted (see dqta on validation).
+  target[j].  ``Operator(entries)`` (exact detection), ``monomial``,
+  ``identity`` and the swaps build them; ``adjoint`` (square), ``kron``,
+  ``dsum``, ``gather`` and the defects do index arithmetic when every
+  operand carries one.  ``.mat`` of a carried form is built when first read.
+* three constructors, one job each: ``Operator(entries)`` copies, checks
+  and finds the form of what comes from outside (users, files); ``owned``
+  wraps the library's own dense results as they are, trusted (see dqta on
+  validation); ``monomial`` builds a form from index arithmetic.
 
 The one rank decision, the pseudoinverse cutoff, uses a relative singular
 value threshold ``RANK_TOL * sigma_max`` so it is scale invariant.
@@ -75,10 +75,10 @@ class Operator:
 
     The wrapped matrix has shape (rows, cols) = (codomain dim, domain dim)
     and acts on column vectors.  ``Operator(entries)``, for input from
-    outside the library, copies the entries in and checks that they form a
-    finite matrix; ``owned`` wraps the library's own results without either.
-    The array is read-only either way, so instances may be shared freely.
-    ``form`` is the carried form or None (see the module docstring).
+    outside the library, copies the entries in, checks that they form a
+    finite matrix and finds their form (``form``, else None; see _form);
+    ``owned`` wraps the library's own results without either.  The array
+    is read-only either way, so instances may be shared freely.
     """
 
     __slots__ = ("mat", "form", "shape")
@@ -91,7 +91,7 @@ class Operator:
         if mat.size and not np.all(np.isfinite(mat)):
             raise ValueError("operator entries must be finite")
         mat.setflags(write=False)
-        self.mat, self.form, self.shape = mat, None, mat.shape
+        self.mat, self.form, self.shape = mat, _form(mat), mat.shape
 
     def __getattr__(self, name):
         # reached only through the unset mat slot of a carried form
@@ -109,6 +109,22 @@ class Operator:
 
     def __repr__(self):
         return f"Operator({self.rows}x{self.cols})"
+
+
+def _form(mat):
+    """mat's carried form when it has exactly one nonzero per column, in
+    distinct rows, and every other entry is +0.0, so that the form gives
+    mat back bit for bit; else None.  A form holds one or two nonzero words
+    (re, im) per column: more turn a dense matrix away in one pass."""
+    words = np.count_nonzero(np.ascontiguousarray(mat).view(np.int64))
+    if not 0 < words <= 2 * mat.shape[1]:
+        return None
+    target = (mat != 0).argmax(axis=0)  # each column's first nonzero
+    phase = mat[target, np.arange(len(target))]
+    # the rest is +0.0 exactly when phase holds every nonzero word
+    exact = (np.all(phase != 0) and np.bincount(target).max() <= 1
+             and words == np.count_nonzero(phase.view(np.int64)))
+    return (target, phase) if exact else None
 
 
 def owned(mat: np.ndarray) -> Operator:
@@ -129,22 +145,6 @@ def monomial(rows: int, target, phase=None) -> Operator:
     f.form = (target, np.ones(len(target), dtype=complex) if phase is None
               else np.asarray(phase, dtype=complex))
     f.shape = (rows, len(target))
-    return f
-
-
-def carried(mat) -> Operator:
-    """Operator(mat), carrying its form when mat has exactly one nonzero
-    entry in each column, in distinct rows, and every other entry is +0.0,
-    so that the form gives mat back bit for bit.  No tolerance."""
-    f = Operator(mat)
-    nonzero = f.mat != 0
-    if f.mat.size == 0 or not np.all(nonzero.sum(axis=0) == 1):
-        return f
-    target = nonzero.argmax(axis=0)
-    phase = f.mat[target, np.arange(f.cols)]
-    if (np.all(nonzero.sum(axis=1) <= 1) and np.count_nonzero(
-            f.mat.view(np.int64)) == np.count_nonzero(phase.view(np.int64))):
-        f.form = (target, phase)
     return f
 
 
@@ -328,7 +328,7 @@ def unitary_defect(f: Operator) -> float:
 
 def op_distance(f: Operator, g: Operator) -> float:
     """Max-norm distance between two operators of equal shape."""
-    if f.mat.shape != g.mat.shape:
+    if f.shape != g.shape:
         raise ShapeError(f"cannot compare {f.rows}x{f.cols} with {g.rows}x{g.cols}")
     if f.mat.size == 0:
         return 0.0

@@ -157,8 +157,53 @@ def test_writer_builds_the_text_of_the_materialized_record(tmp_path, value,
         back = cli._read_carried(fh.read(), path)
     assert (back is not None) == (value.k > 0)
     if back is not None:
-        assert_same_form(back.tau, linalg.carried(json_decode(path)[0]))
+        assert_same_form(back.tau, Operator(json_decode(path)[0]))
         assert np.array_equal(back.tau.mat, mat)
+
+
+def seeded_injection(seed):
+    """(rows, target, phase): a seeded partial injection with phases, rows
+    1-12 and cols <= rows, its phases 1, +-1 or uniform unit phases by
+    seed % 3."""
+    rng = np.random.default_rng(seed)
+    rows = 1 + seed // 3 % 12
+    cols = int(rng.integers(1, rows + 1))
+    phase = [np.ones(cols), np.array([1.0, -1.0])[rng.integers(0, 2, cols)],
+             np.exp(2j * np.pi * rng.random(cols))][seed % 3]
+    return rows, rng.permutation(rows)[:cols], phase
+
+
+@pytest.mark.parametrize("seed", range(72))
+def test_one_matrix_gives_one_result(tmp_path, seed):
+    # from code, as a form built by index arithmetic or from a file: the
+    # same form, and the same closed form at every u, to the bit
+    rows, target, phase = seeded_injection(seed)
+    built = monomial(rows, target, phase)
+    f = Operator(built.mat)
+    assert_same_form(f, built)
+    path = str(tmp_path / "f.json")
+    write_automaton(Dqta(1, f.cols, rows, f), path)
+    loaded = load_record(path).tau
+    assert_same_form(loaded, f)
+    for u in range(f.cols + 1):
+        assert (trace.closed_form(f, 1, u).mat.tobytes()
+                == trace.closed_form(loaded, 1, u).mat.tobytes())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_rule_matrix_chains_as_its_cell_file(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    rule = np.zeros((16, 16), dtype=complex)
+    rule[rng.permutation(16), np.arange(16)] = np.exp(2j * np.pi * rng.random(16))
+    path, cell = str(tmp_path / "rule.json"), str(tmp_path / "cell.json")
+    with open(path, "w") as fh:
+        json.dump({"matrix": np.stack([rule.real, rule.imag], -1).tolist()}, fh)
+    assert run_command(["cell", "--states", "2", "--bits", "2", "--rule", path,
+                        "-o", cell]) == 0
+    from_file = chain_cells(parse_automaton(cell), 3).tau
+    from_code = chain_cells(build_cell(2, 2, Operator(rule)), 3).tau
+    assert_same_form(from_code, from_file)
+    assert from_code.mat.tobytes() == from_file.mat.tobytes()
 
 
 def two_by_two_file(tmp_path, matrix):
@@ -302,14 +347,14 @@ def assert_same_form(f, g):
 
 def assert_loads_as_json(path, carried_text):
     """load_record gives json's matrix bit for bit, carrying the form
-    linalg.carried finds in it; carried_text says whether the carried-text
+    Operator finds in it; carried_text says whether the carried-text
     reader reads the file."""
     record = load_record(path)
     matrix, labels = json_decode(path)
     assert record.tau.mat.dtype == matrix.dtype
     assert record.tau.mat.shape == matrix.shape
     assert record.tau.mat.tobytes() == matrix.tobytes()
-    assert_same_form(record.tau, linalg.carried(matrix))
+    assert_same_form(record.tau, Operator(matrix))
     assert record.labels == labels
     with open(path, "rb") as fh:
         assert (cli._read_carried(fh.read(), path) is not None) == carried_text
@@ -426,7 +471,7 @@ def test_carried_reader_reads_the_writer_as_json_does(tmp_path, case):
     assert record is not None
     matrix, json_labels = json_decode(path)
     assert record.tau.mat.tobytes() == matrix.tobytes()
-    assert_same_form(record.tau, linalg.carried(matrix))
+    assert_same_form(record.tau, Operator(matrix))
     assert record.labels == json_labels
     with open(path) as fh:
         header = json.load(fh)

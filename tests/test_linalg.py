@@ -12,7 +12,6 @@ from qta.linalg import (
     Operator,
     ShapeError,
     adjoint,
-    carried,
     dsum,
     gather,
     identity,
@@ -131,6 +130,21 @@ def test_op_distance_rejects_operators_of_different_shapes():
     with pytest.raises(ShapeError) as err:
         op_distance(identity(2), identity(3))
     assert str(err.value) == "cannot compare 2x2 with 3x3"
+
+
+def test_op_distance_refuses_carried_forms_without_building_them():
+    # identity(1024) against a 1025x1024 form: the two dense matrices
+    # would take 32 MiB
+    f, g = identity(1024), monomial(1025, np.arange(1024))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError) as err:
+            op_distance(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "cannot compare 1024x1024 with 1025x1024"
+    assert peak < 2 ** 20
 
 # ------------------------------------------------------------- kron / dsum
 
@@ -493,11 +507,13 @@ def random_monomial(rng, rows, cols, phased=True):
 
 def dense(f):
     """The same operator without its carried form."""
-    return Operator(f.mat)
+    return owned(np.array(f.mat))
 
 
-def test_operator_built_from_entries_carries_no_form():
-    assert Operator(np.eye(3)).form is None
+def test_operator_built_from_entries_carries_its_form():
+    f = Operator(np.eye(3))
+    assert f.form is not None
+    assert f.form[0].tolist() == [0, 1, 2] and f.form[1].tolist() == [1, 1, 1]
 
 
 def test_identity_and_swaps_carry_their_dense_matrices():
@@ -532,7 +548,7 @@ def test_carried_forms_match_the_dense_operations(seed):
 
 def test_carried_detects_monomials_exactly():
     mat = np.array([[0, -1j, 0], [0, 0, 0], [0.6 - 0.8j, 0, 0], [0, 0, 1]])
-    f = carried(mat)
+    f = Operator(mat)
     assert f.form is not None
     assert f.form[0].tolist() == [2, 0, 3]
     again = monomial(4, *f.form).mat
@@ -543,5 +559,8 @@ def test_carried_detects_monomials_exactly():
     negative_zero = mat.astype(complex)
     negative_zero[1, 1] = complex(-0.0, 0.0)
     for m in (extra, repeated, negative_zero, np.zeros((2, 2)), np.zeros((0, 3))):
-        assert carried(m).form is None
-        assert np.array_equal(carried(m).mat, m)
+        assert Operator(m).form is None
+        assert np.array_equal(Operator(m).mat, m)
+    # a column-major copy has the same form
+    column_major = Operator(np.asfortranarray(mat)).form
+    assert all(np.array_equal(a, b) for a, b in zip(column_major, f.form))

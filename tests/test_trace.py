@@ -460,14 +460,14 @@ def test_path_feedback_equals_the_closed_form(seed):
         f = planted_monomial(rng, u, k, l, cycle, closing, modulus)
         out = closed_form(f, 1, u)
         mat = f.mat
-        ref = closed_form(Operator(mat), 1, u)
+        ref = closed_form(owned(np.array(mat)), 1, u)
         assert out.form is not None and out.shape == (l, k)
         assert op_distance(out, ref) <= 1e-12, (u, k, l, cycle, closing)
         loop = np.eye(u) - mat[:u, :u]
         assert (np.linalg.matrix_rank(loop) < u) == (closing and cycle > 0)
         if modulus:
             carried_out = schur_feedback(BlockMap(f, u, k, l))
-            dense_out = schur_feedback(BlockMap(Operator(mat), u, k, l))
+            dense_out = schur_feedback(BlockMap(owned(np.array(mat)), u, k, l))
             assert carried_out.form is not None and dense_out.form is None
             assert op_distance(carried_out, dense_out) <= 1e-12
 
