@@ -75,7 +75,6 @@ from .axioms import (
 )
 from .cli import (
     AutomatonFile,
-    SimulationTrace,
     build_cell,
     cell_labels,
     chain_cells,

@@ -109,13 +109,6 @@ class AutomatonFile:
     labels: object
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
-    steps: int
-    masses: tuple
-    total_norm: tuple
-
-
 # ------------------------------------------------------------------ file I/O
 
 def _entries_to_matrix(rows, shape, path):
@@ -407,9 +400,11 @@ READ_BACK_BYTES_PER_ENTRY = 300
 WRITE_BUFFER = 2 ** 20
 
 
-# Peak bytes per trace entry (n masses and a total per step) of qta simulate,
-# by tracemalloc: 80.6 / 69.7 / 61.0 at n = 1 / 2 / 4, with 25% to spare.
-TRACE_BYTES_PER_ENTRY = 102
+# Peak bytes per trace entry (n masses and a total per step) of simulate and
+# qta simulate, by tracemalloc growth from 2e4 to 2e5 steps at h = 8: the
+# walk 28.0 / 21.3 / 16.0, qta simulate on it 27.4 / 21.3 / 16.0 and the
+# dense loop 4.0 / 5.3 / 6.4 at n = 1 / 2 / 4, with 25% to spare.
+TRACE_BYTES_PER_ENTRY = 35
 
 
 def _refuse(need, what, where):
@@ -560,7 +555,8 @@ def chain_cells(cell, n, mirror=False) -> UnitaryDqta:
 # -------------------------------------------------------------- simulation
 
 def _refuse_trace(steps, n, where):
-    """_refuse for a trace of steps steps over n interfaces."""
+    """_refuse for a trace of steps steps over n interfaces: the masses
+    simulate returns and what is held beside them."""
     _refuse(TRACE_BYTES_PER_ENTRY * (steps + 1) * (n + 1),
             f"to simulate {steps} steps over {n} interfaces: holding the trace",
             where)
@@ -584,8 +580,10 @@ def _walk(form, at, amp, masses):
     masses[np.arange(steps + 1), path % n] = np.abs(amps[:, 0]) ** 2
 
 
-def simulate(q, initial, steps) -> SimulationTrace:
-    """Repeated application of the transition, recording per-summand masses.
+def simulate(q, initial, steps):
+    """Repeated application of the transition: the float64 masses array of
+    shape (steps + 1, n), whose row s holds each interface's mass after s
+    steps, and whose row sums are the total norms.
 
     initial is either a full state vector of length h*n or a pair
     (interface index, state-factor basis index).  On a carried form a start
@@ -635,8 +633,7 @@ def simulate(q, initial, steps) -> SimulationTrace:
                 w[tau.form[0]] = tau.form[1] * v
                 v = w
             masses[step] = (np.abs(v.reshape(h, n)) ** 2).sum(axis=0)
-    return SimulationTrace(steps, tuple(map(tuple, masses.tolist())),
-                           tuple(masses.sum(axis=1).tolist()))
+    return masses
 
 
 # ------------------------------------------------------------------ commands
@@ -775,14 +772,16 @@ def _cmd_chain(args):
 def _cmd_simulate(args):
     value = parse_automaton(args.file)
     _refuse_trace(args.steps, value.k, args.file)
-    trace = simulate(value, (args.start, 0), args.steps)
+    masses = simulate(value, (args.start, 0), args.steps)
     # json.dumps of each step's record, made as it is written, so that no
-    # text is held beside the trace: masses are finite floats, whose json is
-    # their repr, as the transition is gated unitary and its entries finite
+    # text and no float object is held for the whole trace: masses are
+    # finite floats, whose json is their repr, as the transition is gated
+    # unitary and its entries finite
     line = ('{"step": %d, "masses": [' + ", ".join(["%r"] * value.k)
             + '], "total_norm": %r}\n')
-    sys.stdout.writelines(line % (step, *masses, total) for step, (
-        masses, total) in enumerate(zip(trace.masses, trace.total_norm)))
+    sys.stdout.writelines(
+        line % (step, *row.tolist(), float(total))
+        for step, (row, total) in enumerate(zip(masses, masses.sum(axis=1))))
     return 0
 
 

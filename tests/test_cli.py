@@ -1,3 +1,4 @@
+import contextlib
 import glob
 import importlib.util
 import io
@@ -1152,22 +1153,29 @@ def test_chain_matches_the_gathered_wiring_on_rule_cells(mirror):
 
 # --------------------------------------------------------------- simulation
 
+def same_bits(a, b):
+    """Two float64 arrays of one shape, equal bit for bit."""
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 def test_simulation_echoes_initial_on_zero_steps():
     cell = build_cell(2, 1)
-    trace = simulate(cell, (1, 0), 0)
-    assert trace.steps == 0
-    assert trace.masses == ((0.0, 1.0, 0.0, 0.0),)
-    assert trace.total_norm == (1.0,)
+    masses = simulate(cell, (1, 0), 0)
+    assert masses.dtype == np.float64 and masses.shape == (1, 4)
+    assert masses.tolist() == [[0.0, 1.0, 0.0, 0.0]]
+    assert masses.sum(axis=1).tolist() == [1.0]
 
 
 def test_simulation_moves_the_control_across():
     cell = build_cell(2, 1)
-    trace = simulate(cell, (0, 0), 3)
+    masses = simulate(cell, (0, 0), 3)
+    assert masses.shape == (4, 4)
     # pass-through rule: (L,1) and (R,1) alternate
-    assert trace.masses[0][0] == 1.0
-    assert trace.masses[1][2] == 1.0
-    assert trace.masses[2][0] == 1.0
-    assert all(abs(n - 1.0) <= 1e-9 for n in trace.total_norm)
+    assert masses[0][0] == 1.0
+    assert masses[1][2] == 1.0
+    assert masses[2][0] == 1.0
+    assert all(abs(n - 1.0) <= 1e-9 for n in masses.sum(axis=1))
 
 
 def test_simulation_norm_is_conserved_on_shipped_examples():
@@ -1175,16 +1183,16 @@ def test_simulation_norm_is_conserved_on_shipped_examples():
         value = parse_automaton(src)
         if isinstance(value, Dqta) and value.k != value.l:
             continue
-        trace = simulate(value, (0, 0), 100)
-        assert all(abs(n - 1.0) <= 1e-9 for n in trace.total_norm)
+        masses = simulate(value, (0, 0), 100)
+        assert all(abs(n - 1.0) <= 1e-9 for n in masses.sum(axis=1))
 
 
 def test_simulation_accepts_state_vectors_and_checks_norm():
     cell = build_cell(2, 1)
     v = np.zeros(8)
     v[0] = v[4] = 1.0 / np.sqrt(2.0)
-    trace = simulate(cell, v, 1)
-    assert abs(trace.total_norm[1] - 1.0) <= 1e-9
+    masses = simulate(cell, v, 1)
+    assert abs(masses.sum(axis=1)[1] - 1.0) <= 1e-9
     with pytest.raises(ValueError, match="norm"):
         simulate(cell, 2.0 * v, 1)
     with pytest.raises(ValueError, match="length"):
@@ -1201,9 +1209,9 @@ def test_simulation_of_a_carried_form_equals_the_dense_product(phased):
         out = simulate(UnitaryDqta(4, 6, 6, tau), start, 50)
         ref = simulate(UnitaryDqta(4, 6, 6, dense(tau)), start, 50)
         if phased:
-            assert np.allclose(out.masses, ref.masses, rtol=0, atol=1e-12)
+            assert np.allclose(out, ref, rtol=0, atol=1e-12)
         else:
-            assert out == ref
+            assert same_bits(out, ref)
 
 
 def test_simulation_of_a_qta_is_that_of_its_unitary_dqta():
@@ -1211,7 +1219,7 @@ def test_simulation_of_a_qta_is_that_of_its_unitary_dqta():
               make_qta(2, 3, random_isometry(6, 6, 24))):
         assert isinstance(q, Qta)
         want = simulate(UnitaryDqta(q.h, q.n, q.n, q.tau), (1, 0), 50)
-        assert simulate(q, (1, 0), 50) == want
+        assert same_bits(simulate(q, (1, 0), 50), want)
 
 
 def test_simulation_rejects_rectangular_automata():
@@ -1220,8 +1228,8 @@ def test_simulation_rejects_rectangular_automata():
 
 
 def loop_simulate(q, initial, steps):
-    """simulate as a per-step loop over the whole state vector, with masses
-    and totals rounded to floats at every step: the reference for the
+    """simulate as a per-step loop over the whole state vector, with each
+    step's masses stacked as they are summed: the reference for the
     particle walk."""
     h, n, tau = q.h, q.k, q.tau
     if isinstance(initial, tuple):
@@ -1229,7 +1237,7 @@ def loop_simulate(q, initial, steps):
         v[initial[1] * n + initial[0]] = 1.0
     else:
         v = np.asarray(initial, dtype=complex).reshape(-1)
-    masses, norms = [], []
+    masses = []
     for step in range(steps + 1):
         if step > 0 and tau.form is None:
             v = tau.mat @ v
@@ -1237,18 +1245,16 @@ def loop_simulate(q, initial, steps):
             w = np.empty_like(v)
             w[tau.form[0]] = tau.form[1] * v
             v = w
-        summed = (np.abs(v.reshape(h, n)) ** 2).sum(axis=0)
-        masses.append(tuple(float(x) for x in summed))
-        norms.append(float(summed.sum()))
-    return cli.SimulationTrace(steps, tuple(masses), tuple(norms))
+        masses.append((np.abs(v.reshape(h, n)) ** 2).sum(axis=0))
+    return np.stack(masses)
 
 
 @pytest.mark.parametrize("mirror", [False, True])
 def test_walk_on_a_segment_equals_the_loop_bit_for_bit(mirror):
     seg = chain_cells(build_cell(2, 2), 4, mirror=mirror)
     for start in range(seg.k):
-        assert (simulate(seg, (start, 0), 1000)
-                == loop_simulate(seg, (start, 0), 1000))
+        assert same_bits(simulate(seg, (start, 0), 1000),
+                         loop_simulate(seg, (start, 0), 1000))
 
 
 def unit_vector(rng, side, keep):
@@ -1269,7 +1275,8 @@ def test_simulation_of_a_phased_monomial_equals_the_loop_bit_for_bit(n):
             unit_vector(rng, h * n, np.arange(h * n) % 2 == 0),
             one]
         for start in starts:
-            assert simulate(q, start, 300) == loop_simulate(q, start, 300)
+            assert same_bits(simulate(q, start, 300),
+                             loop_simulate(q, start, 300))
 
 
 def test_simulation_of_a_dense_automaton_equals_the_loop_bit_for_bit():
@@ -1277,9 +1284,10 @@ def test_simulation_of_a_dense_automaton_equals_the_loop_bit_for_bit():
     q = rand_dqta(3, 4, 4, 12)
     for start in ((2, 1), unit_vector(rng, 12, np.ones(12, dtype=bool))):
         for steps in (0, 200):
-            assert simulate(q, start, steps) == loop_simulate(q, start, steps)
+            assert same_bits(simulate(q, start, steps),
+                             loop_simulate(q, start, steps))
     seg = chain_cells(build_cell(2, 2), 2)
-    assert simulate(seg, (3, 0), 0) == loop_simulate(seg, (3, 0), 0)
+    assert same_bits(simulate(seg, (3, 0), 0), loop_simulate(seg, (3, 0), 0))
 
 
 @pytest.fixture(scope="module")
@@ -1288,21 +1296,62 @@ def wide_segment():
     return chain_cells(build_cell(2, 2), 8)
 
 
-def test_a_walk_costs_its_trace_not_the_side(wide_segment):
-    seg = wide_segment
-    trace = simulate(seg, (0, 0), 1000)
-    assert trace.masses[:20] == loop_simulate(seg, (0, 0), 19).masses
-    assert all(abs(t - 1.0) <= 1e-9 for t in trace.total_norm)
-    peaks = {}
-    for steps in (1000, 4000):
+def peak_growth_per_entry(run, n, steps):
+    """The growth of tracemalloc's peak per added trace entry (n masses and
+    a total per step) from run(steps[0]) to run(steps[1])."""
+    peaks = []
+    for s in steps:
         tracemalloc.start()
         try:
-            simulate(seg, (0, 0), steps)
-            peaks[steps] = tracemalloc.get_traced_memory()[1]
+            run(s)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    larger_trace = cli.TRACE_BYTES_PER_ENTRY * 4001 * (seg.k + 1)
-    assert peaks[4000] - peaks[1000] <= larger_trace
+    return (peaks[1] - peaks[0]) / ((steps[1] - steps[0]) * (n + 1))
+
+
+def test_a_walk_costs_its_trace_not_the_side(wide_segment, tmp_path):
+    seg = wide_segment
+    masses = simulate(seg, (0, 0), 1000)
+    assert same_bits(masses[:20], loop_simulate(seg, (0, 0), 19))
+    assert all(abs(t - 1.0) <= 1e-9 for t in masses.sum(axis=1))
+    assert peak_growth_per_entry(lambda s: simulate(seg, (0, 0), s), seg.k,
+                                 (1000, 4000)) <= cli.TRACE_BYTES_PER_ENTRY
+    # the charge covers the walk, the dense loop, and qta simulate on each
+    path = str(tmp_path / "q.json")
+
+    def command(s):
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert run_command(["simulate", path, "--steps", str(s)]) == 0
+
+    rng = np.random.default_rng(35)
+    for n in (1, 2, 4):
+        for tau in (random_monomial(rng, 8 * n, 8 * n, phased=False),
+                    random_isometry(8 * n, 8 * n, n)):
+            q = UnitaryDqta(8, n, n, tau)
+            write_automaton(q, path)
+            assert (parse_automaton(path).tau.form is None) == (tau.form is None)
+            for run in (lambda s: simulate(q, (0, 0), s), command):
+                assert (peak_growth_per_entry(run, n, (1000, 10000))
+                        <= cli.TRACE_BYTES_PER_ENTRY)
+
+
+def test_a_walk_that_fits_in_memory_is_not_refused(monkeypatch):
+    # 64 MiB of physical memory; 200000 steps at n = 4 are 1000005 entries
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 14}
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: memory.get(name) or sysconf(name))
+    seg = chain_cells(build_cell(2, 2), 2)
+    assert seg.k == 4 and seg.tau.form is not None
+    tracemalloc.start()
+    try:
+        masses = simulate(seg, (0, 0), 200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masses.shape == (200001, 4)
+    assert peak < 2 ** 26
 
 
 def test_a_pair_start_builds_no_state_vector(wide_segment):
@@ -1310,12 +1359,12 @@ def test_a_pair_start_builds_no_state_vector(wide_segment):
     seg = wide_segment
     tracemalloc.start()
     try:
-        trace = simulate(seg, (1, 2), 10)
+        masses = simulate(seg, (1, 2), 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    assert trace == loop_simulate(seg, (1, 2), 10)
+    assert same_bits(masses, loop_simulate(seg, (1, 2), 10))
 
 
 @pytest.mark.parametrize("start", ["pair", "vector"])
@@ -1524,8 +1573,8 @@ def test_simulate_rejects_what_no_command_sends(value, initial, message):
 
 def test_simulate_reads_a_start_pair_of_numpy_integers():
     cell = build_cell(2, 1)
-    assert (simulate(cell, (np.int64(3), np.int32(1)), 3)
-            == simulate(cell, (3, 1), 3))
+    assert same_bits(simulate(cell, (np.int64(3), np.int32(1)), 3),
+                     simulate(cell, (3, 1), 3))
 
 
 def test_writer_builds_dense_text_before_opening_the_file(tmp_path,
@@ -2010,12 +2059,13 @@ def test_cell_command_with_rule_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def json_lines(trace):
-    """json.dumps of each step's record, one line each."""
-    return "".join(json.dumps({"step": step, "masses": list(masses),
+def json_lines(masses):
+    """json.dumps of each step's record, one line each, with the row sums
+    as totals."""
+    return "".join(json.dumps({"step": step, "masses": row,
                                "total_norm": total}) + "\n"
-                   for step, (masses, total) in enumerate(
-                       zip(trace.masses, trace.total_norm)))
+                   for step, (row, total) in enumerate(
+                       zip(masses.tolist(), masses.sum(axis=1).tolist())))
 
 
 @pytest.mark.parametrize("steps", [0, 1, 300])
@@ -2029,13 +2079,13 @@ def test_simulate_prints_json_dumps_of_each_step(tmp_path, capsys, which,
                     if which == "haar-cell" else
                     chain_cells(build_cell(2, 2), 2), path)
     for start in (0, 3):
-        trace = simulate(parse_automaton(path), (start, 0), steps)
+        masses = simulate(parse_automaton(path), (start, 0), steps)
         assert run_command(["simulate", path, "--steps", str(steps),
                             "--start", str(start)]) == 0
-        assert capsys.readouterr().out == json_lines(trace)
+        assert capsys.readouterr().out == json_lines(masses)
     assert (parse_automaton(path).tau.form is None) == (which == "haar-cell")
     if steps and which == "haar-cell":
-        assert any(len(repr(m)) > 15 for m in trace.masses[-1])
+        assert any(len(repr(m)) > 15 for m in masses[-1].tolist())
 
 
 def test_simulate_command_prints_json_steps(capsys):

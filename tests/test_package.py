@@ -17,7 +17,7 @@ PUBLIC = SUBMODULES | {
     "AutomatonFile", "BlockMap", "CheckConfig", "ConvergenceReport", "Dqta",
     "EXPECTED_FAIL", "ISOMETRY_TOL", "Int0Morphism", "IsometryError",
     "LAW_GROUPS", "LawReport", "Operator", "Qta", "RANK_TOL", "ShapeError",
-    "SimulationTrace", "UnitaryDqta", "adjoint", "as_int0",
+    "UnitaryDqta", "adjoint", "as_int0",
     "bidirectionalize", "build_cell", "canonical_trace", "cascade",
     "cell_labels", "chain_cells", "conway_counterexample", "dagger_dqta",
     "dsum", "feedback_dqta", "functor_image", "identity", "instance_seed",
