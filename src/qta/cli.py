@@ -606,6 +606,9 @@ def simulate(q, initial, steps):
     if isinstance(initial, tuple) and len(initial) == 2 \
             and all(isinstance(x, numbers.Integral) for x in initial):
         iface, basis = initial
+        if any(isinstance(x, bool) for x in initial):
+            raise ValueError(f"start pair {initial!r} must hold integers, "
+                             "not booleans")
         if not 0 <= iface < n:
             raise ValueError(f"interface index {iface} out of range 0..{n - 1}")
         if not 0 <= basis < h:

@@ -332,6 +332,20 @@ def test_full_suite_passes_quickly():
     assert max(r.max_violation for r in genuine) <= 1e-8
 
 
+def test_the_seed_7_suite_passes_at_300_instances():
+    assert suite_passed(run_checks(CheckConfig(seed=7, instances=300)))
+
+
+def test_a_law_report_does_not_depend_on_which_groups_run():
+    # so one run over every group stands for a run of each group alone
+    every = run_checks(CheckConfig(seed=7, instances=20))
+    alone = [r for group in LAW_GROUPS
+             for r in run_checks(CheckConfig(seed=7, instances=20,
+                                             law_set=(group,)))]
+    assert len(alone) == len(every)
+    assert {r.law: r for r in alone} == {r.law: r for r in every}
+
+
 def test_the_gate_free_groups_call_no_gate(monkeypatch):
     # the suite builds its draws and closes its loops unchecked, as every
     # operation does: only kleene_feedback and kernel_image_trace, the API

@@ -1,5 +1,6 @@
 import contextlib
 import glob
+import hashlib
 import importlib.util
 import io
 import json
@@ -748,6 +749,8 @@ def test_crlf_copy_of_a_segment_reads_in_place(tmp_path):
     src = str(tmp_path / "seg.json")
     write_automaton(seg, src, {"input": cell_labels(2), "output": cell_labels(2)})
     path = copy_bytes(tmp_path, src, lambda b: b.replace(b"\n", b"\r\n"))
+    with open(path, "rb") as fh:
+        assert cli._read_carried(fh.read(), path) is not None
     tracemalloc.start()
     try:
         record = load_record(path)
@@ -1564,6 +1567,12 @@ def test_directed_commands_refuse_a_qta_record(tmp_path, capsys, argv):
 @pytest.mark.parametrize("value, initial, message", [
     ("cell", (0, 0), "cannot simulate str"),
     (build_cell(2, 1), (0, 2), "basis index 2 out of range 0..1"),
+    # a bool is an Integral, but no index
+    (build_cell(2, 1), (True, 0),
+     "start pair (True, 0) must hold integers, not booleans"),
+    # the message holds the pair's repr, which numpy 1 and 2 print apart
+    (build_cell(2, 1), (np.int64(1), False),
+     f"start pair {(np.int64(1), False)!r} must hold integers, not booleans"),
 ])
 def test_simulate_rejects_what_no_command_sends(value, initial, message):
     with pytest.raises(ValueError) as err:
@@ -2124,3 +2133,228 @@ def test_axioms_command_judges_the_counterexample_at_its_tolerance(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["max_violation"] == 1
     assert report["pass"] is True
+
+
+def test_axioms_command_passes_at_max_dim_two(capsys):
+    # every group, its draws at most 2 wide
+    assert run_command(["axioms", "--max-dim", "2", "--instances", "5"]) == 0
+    reports = capsys.readouterr().out.splitlines()
+    assert all(json.loads(r)["instances"] == 5 for r in reports[:-1])
+
+
+def entries(m):
+    """The [[[re, im], ...], ...] entries of the complex matrix m."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def write_json(tmp_path, record, name):
+    return write_text(tmp_path, json.dumps(record), name)
+
+
+def test_bidir_writes_the_shipped_qta_and_simulate_walks_each_qta(tmp_path,
+                                                                  capsys):
+    # the name route writes the cell's own transition, pinned by the
+    # shipped file; a qta simulates as its unitary dqta
+    cell = os.path.join(DATA_DIR, "cell_2s1b.json")
+    shipped = os.path.join(DATA_DIR, "cell_2s1b_bidir.json")
+    named, functored = str(tmp_path / "named.json"), str(tmp_path / "f.json")
+    assert run_command(["bidir", cell, "-o", named]) == 0
+    with open(shipped, "rb") as fh:
+        assert (tmp_path / "named.json").read_bytes() == fh.read()
+    assert run_command(["bidir", cell, "--route", "functor",
+                        "-o", functored]) == 0
+    capsys.readouterr()
+    for path in (named, functored, shipped):
+        assert run_command(["simulate", path, "--steps", "3"]) == 0
+        q = parse_automaton(path)
+        assert isinstance(q, Qta)
+        assert capsys.readouterr().out == json_lines(simulate(q, (0, 0), 3))
+
+
+def test_a_haar_rule_cell_runs_through_every_directed_command(tmp_path,
+                                                              capsys):
+    # a dense Haar-rule cell: feedback at h > 1 takes the closed form's
+    # dense path, chain int_compose's dense path and, mirrored, its direct
+    # morphism; bidir's name route reads a dense segment and a carried one
+    rule = write_json(tmp_path, {"matrix": entries(
+        random_isometry(8, 8, 5).mat)}, "rule.json")
+    t = lambda name: str(tmp_path / f"{name}.json")
+    data_cell = os.path.join(DATA_DIR, "cell_2s1b.json")
+    for argv in (["cell", "--states", "2", "--bits", "1", "--rule", rule,
+                  "-o", t("haar")],
+                 ["feedback", t("haar"), "--u", "1", "-o", t("haar_feedback")],
+                 ["chain", t("haar"), "--n", "3", "-o", t("haar_seg")],
+                 ["chain", t("haar"), "--n", "3", "--mirror",
+                  "-o", t("haar_mirror")],
+                 ["compose", t("haar"), t("haar"), "-o", t("haar_compose")],
+                 ["tensor", t("haar"), t("haar"), "-o", t("haar_tensor")],
+                 ["bidir", t("haar_seg"), "--route", "name",
+                  "-o", t("haar_seg_bidir")],
+                 ["chain", data_cell, "--n", "3", "-o", t("data_seg")],
+                 ["bidir", t("data_seg"), "--route", "name",
+                  "-o", t("data_seg_bidir")]):
+        assert run_command(argv) == 0, argv
+    assert parse_automaton(t("haar_seg")).tau.form is None
+    assert parse_automaton(t("data_seg")).tau.form is not None
+    for name in ("haar", "haar_feedback", "haar_seg", "haar_mirror",
+                 "haar_compose", "haar_tensor", "haar_seg_bidir",
+                 "data_seg_bidir"):
+        assert run_command(["validate", t(name)]) == 0, name
+    for name in ("haar_seg_bidir", "data_seg_bidir"):
+        assert run_command(["simulate", t(name), "--steps", "3"]) == 0, name
+    capsys.readouterr()
+
+
+def test_a_phased_monomial_closes_to_the_same_bits_from_its_file(tmp_path,
+                                                                 capsys):
+    rng = np.random.default_rng(0)
+    m = np.zeros((8, 8), complex)
+    m[rng.permutation(8), np.arange(8)] = np.exp(2j * np.pi * rng.random(8))
+    src = write_json(tmp_path, {"kind": "dqta", "h": 1, "k": 8, "l": 8,
+                                "matrix": entries(m)}, "phased8.json")
+    out = str(tmp_path / "closed.json")
+    assert run_command(["feedback", src, "--u", "3", "-o", out]) == 0
+    from_code = dqta.feedback_dqta(Dqta(1, 8, 8, Operator(m)), 3).tau.mat
+    assert load_record(out).tau.mat.tobytes() == from_code.tobytes()
+    capsys.readouterr()
+
+
+def test_a_dense_file_keeps_an_infinity_label_a_string(tmp_path, capsys):
+    # the nested reader reads this file; the label "Infinity", json's
+    # name for inf, stays the string it is in the file
+    labels = ["Infinity", "(L,2)", "(R,1)", "(R,2)"]
+    path = write_json(tmp_path, {
+        "kind": "dqta", "h": 2, "k": 4, "l": 4,
+        "matrix": entries(random_isometry(8, 8, 6).mat),
+        "labels": {"input": labels, "output": labels}}, "infinity.json")
+    assert run_command(["validate", path]) == 0
+    assert load_record(path).labels == {"input": tuple(labels),
+                                        "output": tuple(labels)}
+    capsys.readouterr()
+
+
+def test_a_wide_dense_qta_file_is_checked_in_column_blocks(tmp_path, capsys):
+    # side 256 > linalg.GRAM_BLOCK: both grams of the unitary check are
+    # formed in column blocks, and one entry moved by 1e-6 is refused
+    m = random_isometry(256, 256, 7).mat.copy()
+    assert m.shape[1] > linalg.GRAM_BLOCK
+
+    def save(name):
+        return write_json(tmp_path, {"kind": "qta", "h": 1, "k": 256,
+                                     "matrix": entries(m)}, name)
+
+    assert run_command(["validate", save("wide.json")]) == 0
+    m[200, 3] += 1e-6
+    assert run_command(["validate", save("wide_moved.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# ------------------------------------- the side-1024 segment and its walks
+
+# sha256 of `qta chain --n 4` of the 2-state, 2-bit cell, and of `qta
+# simulate --steps 1000` on it by start; a phased segment's masses go
+# through np.exp, so only these phase-1 walks are pinned
+SEGMENT_SHA256 = ("2aeb0564205914ffb69e4471f3fed98c"
+                  "633b003c9e8a02fba8f9ab6e4260365c")
+WALK_SHA256 = {0: "e3092aa2ab30daddb20f7190087d2e76"
+                  "497184300a56228fdf388141d696c165",
+               3: "e9dbc6e78033e63adc9711430ba36e80"
+                  "ef8d253d4f9d72d5686a0e57ffbfdc89"}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def written_segment(tmp_path_factory):
+    """Path of the side-1024 segment as `qta chain --n 4` writes it."""
+    tmp = tmp_path_factory.mktemp("segment")
+    cell, seg = str(tmp / "cell.json"), str(tmp / "seg.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_command(["cell", "--states", "2", "--bits", "2",
+                            "-o", cell]) == 0
+        assert run_command(["chain", cell, "--n", "4", "-o", seg]) == 0
+    return seg
+
+
+def walk_text(capsys, path, start=0):
+    """What `qta simulate path --steps 1000 --start start` prints."""
+    capsys.readouterr()
+    assert run_command(["simulate", path, "--steps", "1000",
+                        "--start", str(start)]) == 0
+    return capsys.readouterr().out
+
+
+def test_a_segment_and_its_walks_keep_their_bytes(written_segment, capsys):
+    with open(written_segment, "rb") as fh:
+        assert sha256(fh.read()) == SEGMENT_SHA256
+    assert run_command(["validate", written_segment]) == 0
+    for start, digest in WALK_SHA256.items():
+        walk = walk_text(capsys, written_segment, start)
+        assert sha256(walk.encode()) == digest
+
+
+def test_the_dense_twin_of_a_segment_walks_to_the_same_bytes(written_segment):
+    q = parse_automaton(written_segment)
+    twin = UnitaryDqta(q.h, q.k, q.l, dense(q.tau))
+    assert twin.tau.form is None
+    masses = simulate(twin, (0, 0), 1000)
+    assert sha256(json_lines(masses).encode()) == WALK_SHA256[0]
+
+
+def nested_copy(tmp_path, src, name="nested.json"):
+    """Path of a copy of src with one space after '"matrix": [': still
+    json, but not the writer's text, so the nested reader reads it."""
+    path = copy_bytes(tmp_path, src, lambda b: b.replace(
+        b'"matrix": [', b'"matrix": [ ', 1), name)
+    with open(path, "rb") as fh:
+        assert cli._read_carried(fh.read(), path) is None
+    return path
+
+
+def test_a_segment_read_by_the_nested_reader_walks_to_the_same_bytes(
+        written_segment, tmp_path, capsys):
+    path = nested_copy(tmp_path, written_segment)
+    assert sha256(walk_text(capsys, path).encode()) == WALK_SHA256[0]
+
+
+def test_a_phased_segment_walks_alike_from_its_nested_and_crlf_copies(
+        tmp_path, capsys):
+    # a seeded 16x16 monomial rule with unit phases chains to a carried
+    # segment with 167 distinct entry texts
+    rng = np.random.default_rng(3)
+    rule = np.zeros((16, 16), complex)
+    target = rng.permutation(16)  # drawn before the phases
+    rule[target, np.arange(16)] = np.exp(2j * np.pi * rng.random(16))
+    cell, seg = str(tmp_path / "cell.json"), str(tmp_path / "phased.json")
+    assert run_command(["cell", "--states", "2", "--bits", "2", "--rule",
+                        write_json(tmp_path, {"matrix": entries(rule)},
+                                   "rule.json"), "-o", cell]) == 0
+    assert run_command(["chain", cell, "--n", "4", "-o", seg]) == 0
+    assert run_command(["validate", seg]) == 0
+    crlf = copy_bytes(tmp_path, seg, lambda b: b.replace(b"\n", b"\r\n"),
+                      "crlf.json")
+    for path in (seg, crlf):
+        with open(path, "rb") as fh:
+            assert cli._read_carried(fh.read(), path) is not None
+    walks = [sha256(walk_text(capsys, path).encode())
+             for path in (seg, nested_copy(tmp_path, seg), crlf)]
+    assert walks[0] == walks[1] == walks[2]
+    phase = parse_automaton(seg).tau.form[1]
+    assert len(set(map(cli._entry_text, phase.real.tolist(),
+                       phase.imag.tolist()))) == 167
+
+
+@pytest.mark.parametrize("states, bits, n", [(2, 1, 3), (2, 2, 4)])
+def test_a_mirrored_segment_is_written_valid_and_walks_as_built(
+        tmp_path, capsys, states, bits, n):
+    cell, seg = str(tmp_path / "cell.json"), str(tmp_path / "seg.json")
+    assert run_command(["cell", "--states", str(states), "--bits", str(bits),
+                        "-o", cell]) == 0
+    assert run_command(["chain", cell, "--n", str(n), "--mirror",
+                        "-o", seg]) == 0
+    assert run_command(["validate", seg]) == 0
+    built = chain_cells(build_cell(states, bits), n, mirror=True)
+    assert (sha256(walk_text(capsys, seg).encode())
+            == sha256(json_lines(simulate(built, (0, 0), 1000)).encode()))

@@ -1,4 +1,5 @@
-"""The package's import surface and the README's library example."""
+"""The package's import surface, the README's library example, and the CI
+workflow's reliance on the test suite."""
 
 import os
 import re
@@ -6,6 +7,8 @@ import re
 import qta
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+WORKFLOW = os.path.join(os.path.dirname(__file__), "..", ".github",
+                        "workflows", "tests.yml")
 
 SUBMODULES = {"axioms", "cli", "dqta", "intcat", "linalg", "trace"}
 
@@ -58,3 +61,11 @@ def test_readme_library_example_runs_as_written():
     assert (namespace["t"].rows, namespace["t"].cols) == (3, 2)
     assert namespace["closed"].k == namespace["closed"].l == 2
     assert namespace["undirected"].n == 6
+
+
+def test_the_workflow_runs_no_inline_python_program():
+    # a behaviour check belongs in a named test, which every local run of
+    # the suite executes; CI keeps only what needs a real process
+    with open(WORKFLOW) as fh:
+        programs = re.findall(r"\bpython3? -c\b", fh.read())
+    assert programs == []

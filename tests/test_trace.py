@@ -309,6 +309,13 @@ def test_convergence_script_exits_0_when_every_row_matches(capsys):
     assert " False " not in capsys.readouterr().out
 
 
+def test_convergence_script_exits_0_at_its_default_input(capsys):
+    # seed 0, three draws per family, n up to 50000: 21 rows
+    assert convergence_script().main([]) == 0
+    out = capsys.readouterr().out
+    assert out.count(" True ") == 21 and " False " not in out
+
+
 def test_convergence_script_exits_1_on_a_row_that_does_not_converge(capsys):
     assert convergence_script().main(["--per-family", "1", "--max-n", "3"]) == 1
     assert capsys.readouterr().out.count(" False ") == 7
